@@ -7,8 +7,11 @@ cannot silently fall back to defaults.
 
 Exit codes: 0 success with all verifications passing, 1 usage or
 configuration error, 2 verification failure (index identity violated,
-crossing form not negative definite, bifurcation not confirmed),
-3 degenerate endpoint (the r = 1 non-degeneracy assumption fails).
+negative count not monotone, crossing form not negative definite,
+bifurcation not confirmed) or numerical breakdown (a factorization
+still rejected after its nudged retries), 3 degenerate endpoint (the
+r = 1 non-degeneracy assumption fails).  Each failure prints one line
+to stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from . import conjugate as conj_mod
 from . import fem, metric, problem
 from .conjugate import DegenerateRadiusOneError, VerificationError
 from .fem import Assembler
+from .spectral import FactorizationError
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "main", "main_entry"]
 
@@ -138,8 +142,14 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"metric.kind must be euclidean or constant_curvature")
     if cfg.problem_nonlinearity not in ("linear", "cubic"):
         raise ConfigError("problem.nonlinearity must be linear or cubic")
-    if cfg.mesh_resolution < 1:
-        raise ConfigError("mesh.resolution must be positive")
+    min_resolution = 2 if cfg.mesh_dim == 1 else 1
+    if cfg.mesh_resolution < min_resolution:
+        raise ConfigError(
+            f"mesh.resolution must be >= {min_resolution} in {cfg.mesh_dim}D"
+        )
+    for key in ("metric.kappa", "problem.cubic_b", "scan.r_min", "branch.step_size"):
+        if not np.isfinite(getattr(cfg, key.replace(".", "_"))):
+            raise ConfigError(f"{key} must be finite")
     if cfg.scan_r_min < conj_mod.R_MIN_FLOOR:
         raise ConfigError(f"scan.r_min must be >= {conj_mod.R_MIN_FLOOR}")
     if not cfg.scan_r_min < 1.0:
@@ -153,9 +163,15 @@ def _validate(cfg: RunConfig):
     if cfg.branch_step_size <= 0.0:
         raise ConfigError("branch.step_size must be positive")
     try:
-        problem.parse_field(cfg.problem_f, cfg.mesh_dim)
+        field = problem.parse_field(cfg.problem_f, cfg.mesh_dim)
     except ValueError as exc:
         raise ConfigError(f"problem.f: {exc}") from exc
+    # Center, axis ends and a diagonal point of the unit ball.
+    d = cfg.mesh_dim
+    probe = np.vstack([np.zeros(d), np.eye(d), -np.eye(d), np.full(d, d ** -0.5)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(field(probe))):
+            raise ConfigError("problem.f is not finite on the unit ball")
     if cfg.metric_kind == "constant_curvature" and cfg.metric_kappa > 0.0:
         if np.sqrt(cfg.metric_kappa) >= np.pi:
             raise ConfigError("metric.kappa too large: need sqrt(kappa) < pi")
@@ -418,6 +434,9 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
         return EXIT_DEGENERATE
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except FactorizationError as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     return code
 

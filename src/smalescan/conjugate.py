@@ -116,27 +116,36 @@ class IndexReport:
     corollary_bound: int
 
 
-def _n_neg_evaluator(asm: Assembler, strict: bool = True):
-    """Closure r -> n_neg(H(r)); retries with a nudged r on breakdown.
+def _n_neg_evaluator(asm: Assembler):
+    """Closure r -> n_neg(H(r)), the one negative count of the package.
 
-    A singular leading block in the Schur recurrence occurs only on a
+    Counts strictly by pivot sign.  A rejected sparse factorization
+    (an exactly zero diagonal pivot or pivot growth) occurs only on a
     measure-zero set of radii; a deterministic nudge of relative size
-    1e-9 moves off it without affecting any located quantity (bisection
-    tolerances are 1e-8 and coarser).
+    1e-9, toward the interior of (0, 1], moves off it without affecting
+    any located quantity (bisection tolerances are 1e-8 and coarser).
     """
-    blocks = asm.mesh.block_offsets
 
     def n_neg(r: float) -> int:
         shift = 0.0
         for attempt in range(4):
             try:
-                form = asm.h(min(r + shift, 1.0))
-                return inertia(form.H, block_offsets=blocks, strict=strict).n_neg
+                form = asm.h(r + shift if r + shift <= 1.0 else r - shift)
+                return inertia(form.H, strict=True).n_neg
             except FactorizationError:
                 shift = (attempt + 1) * 1e-9 * (1.0 + r)
         raise FactorizationError(f"inertia evaluation failed near r = {r}")
 
     return n_neg
+
+
+def _check_rise(r_a: float, n_a: int, r_b: float, n_b: int):
+    """Raise unless n_neg(r_a) <= n_neg(r_b) for r_a < r_b."""
+    if n_b < n_a:
+        raise VerificationError(
+            f"negative count drops from {n_a} at r = {r_a!r} to {n_b} at "
+            f"r = {r_b!r}; n_neg(H(r)) must be nondecreasing"
+        )
 
 
 def scan(
@@ -150,8 +159,9 @@ def scan(
 ) -> ScanResult:
     """Negative counts (and optionally k smallest eigenvalues) over a grid.
 
-    The grid must be ascending inside [R_MIN_FLOOR, 1]; the lower cutoff
-    excludes the degenerate limit r -> 0 where the ball collapses.
+    Counts come from the same evaluator as bisection.  The grid must be
+    ascending inside [R_MIN_FLOOR, 1]; the lower cutoff excludes the
+    degenerate limit r -> 0 where the ball collapses.
     Grid points are independent; with ``threads > 1`` they are evaluated
     concurrently and collected in grid order, so output is identical to
     the sequential run.
@@ -164,15 +174,14 @@ def scan(
     if r_grid[0] < R_MIN_FLOOR - 1e-15 or r_grid[-1] > 1.0 + 1e-15:
         raise ValueError(f"scan grid must lie in [{R_MIN_FLOOR}, 1]")
     asm = assembler or Assembler(mesh, metric, spec)
-    blocks = mesh.block_offsets
+    count = _n_neg_evaluator(asm)
 
     def eval_point(r: float):
-        form = asm.h(r)
-        nn = inertia(form.H, block_offsets=blocks).n_neg
         vals = None
         if k > 0:
+            form = asm.h(r)
             vals = smallest_eigenpairs(form.H, form.S, k).values
-        return nn, vals
+        return count(r), vals
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -190,7 +199,8 @@ def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol) -> List[Tuple[float, float, int,
 
     Returns final brackets (lo, hi, n_lo, n_hi).  When the midpoint
     count splits the jump, both halves carry a crossing and are
-    refined independently (split-and-recurse).
+    refined independently (split-and-recurse).  A midpoint count
+    outside [n_lo, n_hi] contradicts monotonicity and is raised.
     """
     stack = [(r_lo, n_lo, r_hi, n_hi)]
     final = []
@@ -199,7 +209,8 @@ def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol) -> List[Tuple[float, float, int,
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             nmid = n_neg(mid)
-            nmid = min(max(nmid, nlo), nhi)
+            _check_rise(lo, nlo, mid, nmid)
+            _check_rise(mid, nmid, hi, nhi)
             if nmid > nlo and nmid < nhi:
                 stack.append((mid, nmid, hi, nhi))
                 hi, nhi = mid, nmid
@@ -236,6 +247,7 @@ def locate(
         tol = BISECTION_TOL[mesh.dim]
     n_neg = _n_neg_evaluator(asm)
     n_lo, n_hi = n_neg(r_lo), n_neg(r_hi)
+    _check_rise(r_lo, n_lo, r_hi, n_hi)
     jump = n_hi - n_lo
     if jump < 1:
         raise ValueError(
@@ -246,7 +258,8 @@ def locate(
     if jump >= 2 and (r_hi - r_lo) > 10.0 * tol:
         grid = np.linspace(r_lo, r_hi, 11)
         counts = [n_lo] + [n_neg(r) for r in grid[1:-1]] + [n_hi]
-        counts = np.minimum(np.maximum(counts, n_lo), n_hi)
+        for i in range(10):
+            _check_rise(grid[i], counts[i], grid[i + 1], counts[i + 1])
         segments = [
             (grid[i], int(counts[i]), grid[i + 1], int(counts[i + 1]))
             for i in range(10)
@@ -305,9 +318,12 @@ def crossing_form_fd(
     """Crossing form on the kernel by central differencing of H(r).
 
     Gamma_ij = (u_i^T H(r*+d) u_j - u_i^T H(r*-d) u_j) / (2 d), with the
-    default step d = 1e-4 r*.  A Richardson audit at d/2 must agree to
-    1 percent; for forms polynomial of degree <= 2 in r the central
-    difference is exact and the audit is trivially satisfied.
+    default step d = 1e-4 r*.  H(r) is defined on [0, 1] only, so when
+    r* + d > 1 the second-order backward stencil
+    (3 H(r*) - 4 H(r*-d) + H(r*-2d)) / (2 d) takes its place.  A
+    Richardson audit at d/2 must agree to 1 percent; for forms
+    polynomial of degree <= 2 in r both stencils are exact and the
+    audit is trivially satisfied.
     """
     asm = assembler or Assembler(mesh, metric, spec)
     r0 = conj.r_star
@@ -317,10 +333,14 @@ def crossing_form_fd(
         raise ValueError("finite-difference step must be positive")
     V = conj.kernel_basis
 
+    def q(r):
+        return V.T @ (asm.h(r).H @ V)
+
     def gamma(d):
-        Hp = asm.h(min(r0 + d, 1.0)).H
-        Hm = asm.h(r0 - d).H
-        G = (V.T @ (Hp @ V) - V.T @ (Hm @ V)) / (2.0 * d)
+        if r0 + d <= 1.0:
+            G = (q(r0 + d) - q(r0 - d)) / (2.0 * d)
+        else:
+            G = (3.0 * q(r0) - 4.0 * q(r0 - d) + q(r0 - 2.0 * d)) / (2.0 * d)
         return 0.5 * (G + G.T)
 
     G = gamma(delta)
@@ -480,9 +500,9 @@ def verify_index(
             f"degenerate endpoint: |lambda_min(H(1), S)| = {gap:.3e} "
             f"< {kernel_threshold}"
         )
-    blocks = mesh.block_offsets
-    mu = inertia(asm.h(1.0).H, block_offsets=blocks).n_neg
-    n_small = inertia(asm.h(r_min).H, block_offsets=blocks).n_neg
+    n_neg = _n_neg_evaluator(asm)
+    mu = n_neg(1.0)
+    n_small = n_neg(r_min)
     conj_list = [(c.r_star, c.multiplicity) for c in sorted(conjugates, key=lambda c: c.r_star)]
     sum_m = int(sum(m for _, m in conj_list))
     max_m = max((m for _, m in conj_list), default=0)

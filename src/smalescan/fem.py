@@ -47,19 +47,12 @@ __all__ = [
     "assemble_energy",
 ]
 
-# Interior-dof chunk size for the 1D block partition (see spectral.inertia).
-_CHUNK_1D = 64
-
-
 @dataclass(frozen=True)
 class Mesh:
     """P1 mesh of the unit ball in dimension 1 or 2.
 
     ``interior_dof_map[i]`` is the interior dof index of node i, or -1
-    for boundary nodes.  ``block_offsets`` partitions the interior dofs
-    into consecutive blocks such that the assembled matrices are block
-    tridiagonal (1D: index chunks, 2D: the center node and the rings);
-    the spectral module exploits this for fast inertia counts.
+    for boundary nodes.
     """
 
     dim: int
@@ -68,7 +61,6 @@ class Mesh:
     elements: np.ndarray              # (ne, dim + 1) node indices
     boundary_nodes: np.ndarray        # (N,) bool
     interior_dof_map: np.ndarray      # (N,) int, -1 on the boundary
-    block_offsets: tuple              # interior-dof block boundaries
     boundary_edges: Optional[np.ndarray] = None     # (nb, 2), 2D only
     boundary_normals: Optional[np.ndarray] = None   # (nb, dim) outward units
     boundary_elements: Optional[np.ndarray] = None  # (nb,) adjacent element
@@ -111,8 +103,6 @@ def _build_mesh_1d(res: int) -> Mesh:
     elements = np.column_stack([np.arange(res), np.arange(1, res + 1)])
     boundary = np.zeros(res + 1, dtype=bool)
     boundary[0] = boundary[-1] = True
-    n_int = res - 1
-    offsets = list(range(0, n_int, _CHUNK_1D)) + [n_int]
     return Mesh(
         dim=1,
         resolution=res,
@@ -120,7 +110,6 @@ def _build_mesh_1d(res: int) -> Mesh:
         elements=elements,
         boundary_nodes=boundary,
         interior_dof_map=_interior_map(boundary),
-        block_offsets=tuple(offsets),
     )
 
 
@@ -203,10 +192,6 @@ def _build_mesh_2d(rings: int) -> Mesh:
     if not np.all(np.asarray(boundary)[b_edges].all(axis=1)):
         raise RuntimeError("boundary edge with interior node")
 
-    # Interior-dof blocks: center, then each interior ring.
-    offsets = [0, 1]
-    for i in range(1, R):
-        offsets.append(offsets[-1] + 6 * i)
     return Mesh(
         dim=2,
         resolution=R,
@@ -214,7 +199,6 @@ def _build_mesh_2d(rings: int) -> Mesh:
         elements=elements,
         boundary_nodes=boundary,
         interior_dof_map=_interior_map(boundary),
-        block_offsets=tuple(offsets),
         boundary_edges=b_edges,
         boundary_normals=normals,
         boundary_elements=b_tris,

@@ -1,17 +1,17 @@
 """Inertia counts and generalized symmetric eigenpairs for (H, S).
 
-Inertia is read off the pivots of a symmetric-indefinite
-factorization.  Two factorization routes share the same pivot
-classification:
+Inertia is read off the pivots of a symmetric factorization, classified
+by one rule (``_classify``).  Two routes produce the pivots:
 
-  * dense Bunch-Kaufman (LAPACK ``dsytrf``), the general route;
-  * a block-tridiagonal Schur recurrence for matrices carrying the
-    natural mesh partition (1D index chunks, 2D center + rings), with
-    pivoted dense factorization inside every block.  Inertia adds over
-    the Schur complements, so the count is exact while the cost drops
-    from O(n^3) to O(n b^2) for block size b.  Used on this scale
-    (single core, n ~ 10^4) a full dense factorization would take
-    minutes per radius; the block route takes a fraction of a second.
+  * sparse input: one SuperLU factorization restricted to diagonal
+    pivots under a fill-reducing symmetric ordering.  When the row and
+    column permutations agree it is P^T H P = L D L^T with D the
+    diagonal of U, and Sylvester's law of inertia gives the count.
+    Every call checks symmetry, the permutations, finite pivots and
+    pivot growth, and raises ``FactorizationError`` rather than return a
+    count it cannot vouch for;
+  * dense input: Bunch-Kaufman (LAPACK ``dsytrf``), the pivoted
+    reference the sparse route is tested against.
 
 Eigenpairs come from the dense generalized solver (small problems,
 ascending-k requests) or from shift-invert block inverse iteration at
@@ -21,7 +21,6 @@ zero (kernel candidates near a degeneracy, any scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg as la
@@ -114,63 +113,33 @@ def _matrix_scale(H) -> float:
     return float(np.max(np.abs(H))) if H.size else 0.0
 
 
-def _check_block_tridiagonal(H: sp.spmatrix, offsets: Sequence[int]):
-    offsets = np.asarray(offsets, dtype=int)
-    coo = H.tocoo()
-    bi = np.searchsorted(offsets, coo.row, side="right") - 1
-    bj = np.searchsorted(offsets, coo.col, side="right") - 1
-    if np.any(np.abs(bi - bj) > 1):
-        raise ValueError("matrix is not block tridiagonal for the given offsets")
+def _sparse_pivots(H: sp.csc_matrix, scale: float) -> np.ndarray:
+    """Pivots D of P^T H P = L D L^T from one diagonal-pivoting SuperLU.
 
-
-def _blocktri_pivots(H: sp.spmatrix, offsets: Sequence[int]) -> np.ndarray:
-    """Pivot eigenvalues of H via the block-tridiagonal Schur recurrence.
-
-    Haynsworth additivity: In(H) = In(D_1) + In(H / D_1), applied ring
-    by ring.  Every Schur complement is factorized with Bunch-Kaufman
-    pivoting, so breakdown is confined to a genuinely singular leading
-    block (raised, never misclassified).
+    SuperLU leaves the diagonal only on an exactly zero pivot, which
+    shows as perm_r != perm_c; that, a singular factor and pivot growth
+    beyond 1e12 max(max|H|, 1) are raised, never classified.
     """
-    offsets = list(offsets)
-    H = H.tocsr()
-    scale = _matrix_scale(H)
-    growth_cap = 1e12 * max(scale, 1.0)
-    pivots = []
-    schur_update = None
-    nblocks = len(offsets) - 1
-    for i in range(nblocks):
-        lo, hi = offsets[i], offsets[i + 1]
-        D = H[lo:hi, lo:hi].toarray()
-        if schur_update is not None:
-            D = D - schur_update
-        D = np.asfortranarray(0.5 * (D + D.T))
-        ldu, ipiv, info = lapack.dsytrf(D, lower=1)
-        if info < 0:
-            raise FactorizationError(f"dsytrf failed on block {i}")
-        block_pivots = _pivot_eigs_from_factor(ldu, ipiv)
-        if not np.all(np.isfinite(block_pivots)):
-            raise FactorizationError(f"non-finite pivot in block {i}")
-        pivots.append(block_pivots)
-        if i + 1 < nblocks:
-            nlo, nhi = offsets[i + 1], offsets[i + 2]
-            E = H[lo:hi, nlo:nhi].toarray()
-            if info > 0 or np.min(np.abs(block_pivots)) == 0.0:
-                raise FactorizationError(
-                    f"singular leading block {i} in Schur recurrence"
-                )
-            X = lapack.dsytrs(ldu, ipiv, E, lower=1)[0]
-            if E.size and np.max(np.abs(X)) > growth_cap:
-                raise FactorizationError(
-                    f"pivot growth in Schur recurrence at block {i}"
-                )
-            schur_update = E.T @ X
-    return np.concatenate(pivots) if pivots else np.empty(0)
+    try:
+        lu = spla.splu(
+            H,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as exc:
+        raise FactorizationError(f"sparse factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationError("zero diagonal pivot: row and column orders differ")
+    U = lu.U
+    if U.nnz and np.max(np.abs(U.data)) > 1e12 * max(scale, 1.0):
+        raise FactorizationError("pivot growth in sparse factorization")
+    return U.diagonal()
 
 
 def inertia(
     H,
     pivot_tolerance: float = DEFAULT_PIVOT_TOL,
-    block_offsets: Optional[Sequence[int]] = None,
     strict: bool = False,
 ) -> Inertia:
     """Inertia (n_neg, n_zero, n_pos) of a symmetric matrix.
@@ -181,10 +150,8 @@ def inertia(
     tolerance band around zero would bias the located radius by the
     band width (see the conjugate module).
 
-    ``block_offsets`` selects the block-tridiagonal fast path; the
-    matrix must be sparse and block tridiagonal with respect to the
-    given consecutive index blocks, which holds for every form
-    assembled on the shipped meshes with their ``mesh.block_offsets``.
+    Sparse input is factorized sparse, dense input by Bunch-Kaufman
+    (see the module docstring).
     """
     n = H.shape[0]
     if H.shape[0] != H.shape[1]:
@@ -194,11 +161,13 @@ def inertia(
     scale = _matrix_scale(H)
     if scale == 0.0:
         return Inertia(0, n, 0, pivot_tolerance)
-    if block_offsets is not None and sp.issparse(H) and len(block_offsets) > 2:
-        _check_block_tridiagonal(H, block_offsets)
-        pivots = _blocktri_pivots(H, block_offsets)
+    if sp.issparse(H):
+        Hc = sp.csc_matrix(H, dtype=float)
+        if abs(Hc - Hc.T).max() > 1e-12 * scale:
+            raise ValueError("inertia requires a symmetric matrix")
+        pivots = _sparse_pivots(Hc, scale)
     else:
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
+        Hd = np.asarray(H, dtype=float)
         if not np.allclose(Hd, Hd.T, rtol=0.0, atol=1e-12 * scale):
             raise ValueError("inertia requires a symmetric matrix")
         pivots = _dense_pivots(0.5 * (Hd + Hd.T))

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from smalescan import cli
+from smalescan import cli, conjugate, spectral
 
 CONFIG_1D = """
 metric.kind = euclidean
@@ -83,6 +83,25 @@ class TestRun:
 
     def test_unknown_subcommand_exits_1(self, config_file):
         assert cli.run("frobnicate", config_file) == cli.EXIT_USAGE
+
+    def test_1d_resolution_one_exits_1(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_1D.replace("mesh.resolution = 400", "mesh.resolution = 1"))
+        assert cli.run("scan", path, out_dir=tmp_path / "o") == cli.EXIT_USAGE
+
+    def test_overflowing_potential_exits_1(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_1D.replace("-52.210207281762692   # -(2.3 pi)^2", "1e400"))
+        assert cli.run("scan", path, out_dir=tmp_path / "o") == cli.EXIT_USAGE
+
+    def test_factorization_breakdown_exits_2(self, config_file, tmp_path, monkeypatch, capsys):
+        def rejected(H, *args, **kwargs):
+            raise spectral.FactorizationError("zero diagonal pivot")
+
+        monkeypatch.setattr(conjugate, "inertia", rejected)
+        assert cli.run("scan", config_file, out_dir=tmp_path / "o") == cli.EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.startswith("numerical breakdown:") and err.count("\n") == 1
 
     def test_scan_writes_csv(self, config_file, tmp_path):
         out = tmp_path / "o"

@@ -121,10 +121,27 @@ class TestLocate:
         mesh, met, spec, asm = disc_2d
         found = conjugate.locate(mesh, met, spec, 0.62, 0.66, assembler=asm)
         cj = found[0]
-        blocks = mesh.block_offsets
-        lo = conjugate.inertia(asm.h(cj.bracket[0]).H, block_offsets=blocks, strict=True).n_neg
-        hi = conjugate.inertia(asm.h(cj.bracket[1]).H, block_offsets=blocks, strict=True).n_neg
+        lo = conjugate.inertia(asm.h(cj.bracket[0]).H, strict=True).n_neg
+        hi = conjugate.inertia(asm.h(cj.bracket[1]).H, strict=True).n_neg
         assert hi - lo == cj.multiplicity
+
+    def test_bisection_raises_on_count_drop(self):
+        # 0 -> 2 -> 1 on [0, 1] used to be clamped into one crossing near 0.3
+        def n_neg(r):
+            return 0 if r < 0.3 else (2 if r < 0.6 else 1)
+
+        with pytest.raises(conjugate.VerificationError, match=r"drops from 2 at r = 0\.5"):
+            conjugate._bisect(n_neg, 0.0, 0, 1.0, 1, 1e-8)
+
+    def test_pre_refinement_raises_on_count_drop(self, osc_1d, monkeypatch):
+        # 0 -> 3 -> 2 on [0.1, 0.9]: the tenfold pre-refinement grid sees the drop
+        mesh, met, spec, asm = osc_1d
+        monkeypatch.setattr(
+            conjugate, "_n_neg_evaluator",
+            lambda asm: lambda r: 0 if r < 0.3 else (3 if r < 0.6 else 2),
+        )
+        with pytest.raises(conjugate.VerificationError, match="drops from 3"):
+            conjugate.locate(mesh, met, spec, 0.1, 0.9, assembler=asm)
 
 
 class TestCrossingForms:
@@ -139,6 +156,21 @@ class TestCrossingForms:
         v = cj.kernel_basis[:, 0]
         expect = -2.0 * C_OSC * cj.r_star * float(v @ (M @ v))
         # exact up to subtraction noise eps*||K||*||v||^2 / (2 delta)
+        assert gamma[0, 0] == pytest.approx(expect, rel=1e-6)
+
+    @pytest.mark.parametrize("r_star", [0.5, 1.0 - 1e-6])
+    def test_fd_matches_closed_form(self, osc_1d, r_star):
+        # H(r) = K - c r^2 M, so Gamma = -2 c r* V^T M V on any V; at
+        # r* = 1 - 1e-6 the step r* + d leaves [0, 1]
+        mesh, met, spec, asm = osc_1d
+        x = mesh.nodes[~mesh.boundary_nodes, 0]
+        V = np.cos(0.5 * np.pi * x)[:, None]
+        cj = conjugate.ConjugateRadius(
+            r_star=r_star, multiplicity=1, kernel_basis=V, bracket=(r_star, r_star)
+        )
+        gamma = conjugate.crossing_form_fd(mesh, met, spec, cj, assembler=asm)
+        M = Assembler(mesh, met, problem.linear_problem(1.0)).h(1.0).H - asm.gram()
+        expect = -2.0 * C_OSC * r_star * float(V[:, 0] @ (M @ V[:, 0]))
         assert gamma[0, 0] == pytest.approx(expect, rel=1e-6)
 
     def test_fd_rejects_bad_delta(self, osc_1d):

@@ -71,12 +71,6 @@ class TestMesh:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.elements, b.elements)
 
-    def test_interior_blocks_cover(self):
-        for mesh in (fem.build_mesh(1, 300), fem.build_mesh(2, 7)):
-            offs = mesh.block_offsets
-            assert offs[0] == 0 and offs[-1] == mesh.n_interior
-            assert all(b > a for a, b in zip(offs, offs[1:]))
-
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
             fem.build_mesh(1, 1)

@@ -31,8 +31,8 @@ class TestInertia:
         mesh = fem.build_mesh(1, 2000)
         form = fem.assemble_h(mesh, metric.euclidean(1),
                               problem.linear_problem(-(2.3 * np.pi) ** 2), 1.0)
-        assert spectral.inertia(form.H, block_offsets=mesh.block_offsets).n_neg == 4
         assert spectral.inertia(form.H).n_neg == 4
+        assert spectral.inertia(form.H.toarray()).n_neg == 4
 
     def test_sums_to_dimension(self):
         rng = np.random.default_rng(0)
@@ -58,21 +58,21 @@ class TestInertia:
             expect = int((np.linalg.eigvalsh(A) < 0).sum())
             assert spectral.inertia(A).n_neg == expect
 
-    def test_blocktri_matches_dense_across_radii(self):
-        mesh = fem.build_mesh(2, 10)
-        asm = fem.Assembler(mesh, metric.euclidean(2), problem.linear_problem(-36.0))
-        for r in np.linspace(0.05, 1.0, 12):
-            form = asm.h(r)
-            a = spectral.inertia(form.H, block_offsets=mesh.block_offsets)
-            b = spectral.inertia(form.H)
-            assert (a.n_neg, a.n_zero, a.n_pos) == (b.n_neg, b.n_zero, b.n_pos)
-
-    def test_blocktri_rejects_wrong_partition(self):
-        mesh = fem.build_mesh(2, 5)
-        form = fem.assemble_h(mesh, metric.euclidean(2), problem.linear_problem(0.0), 0.5)
-        # size-1 blocks demand a tridiagonal matrix, which a 2D form is not
-        with pytest.raises(ValueError):
-            spectral.inertia(form.H, block_offsets=tuple(range(form.n + 1)))
+    def test_sparse_matches_dense_across_radii(self):
+        # sparse LDL^T against dense Bunch-Kaufman on every shipped geometry
+        scenarios = [
+            (fem.build_mesh(1, 300), metric.euclidean(1), -(2.3 * np.pi) ** 2),
+            (fem.build_mesh(2, 7), metric.euclidean(2), -36.0),
+            (fem.build_mesh(2, 7), metric.constant_curvature(2, 1.0), -36.0),
+        ]
+        for mesh, met, f in scenarios:
+            asm = fem.Assembler(mesh, met, problem.linear_problem(f))
+            for r in np.linspace(1e-3, 1.0, 41):
+                H = asm.h(r).H
+                for strict in (True, False):
+                    a = spectral.inertia(H, strict=strict)
+                    b = spectral.inertia(H.toarray(), strict=strict)
+                    assert (a.n_neg, a.n_zero, a.n_pos) == (b.n_neg, b.n_zero, b.n_pos)
 
     def test_strict_mode_has_no_zero_band(self):
         A = np.diag([1e-14, -1e-14, 1.0])
@@ -83,15 +83,22 @@ class TestInertia:
         assert I2.n_zero == 2
 
     def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            spectral.inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for H in (A, sp.csr_matrix(A)):
+            with pytest.raises(ValueError):
+                spectral.inertia(H)
 
-    def test_blocktri_singular_leading_block_raises(self):
-        # leading 1x1 block is exactly zero: the Schur recurrence must
-        # report breakdown instead of misclassifying
+    def test_sparse_zero_diagonal_raises(self):
+        # no diagonal pivot order exists: SuperLU pivots off the diagonal
+        # and the count must be refused instead of misclassified
         H = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(spectral.FactorizationError):
-            spectral.inertia(H, block_offsets=(0, 1, 2))
+            spectral.inertia(H)
+
+    def test_sparse_pivot_growth_raises(self):
+        H = sp.csr_matrix(np.array([[1e-14, 1.0], [1.0, 1e-14]]))
+        with pytest.raises(spectral.FactorizationError):
+            spectral.inertia(H)
 
 
 class TestSmallestEigenpairs:
