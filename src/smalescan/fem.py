@@ -20,6 +20,13 @@ Quadrature: the gradient terms use the midpoint rule (1D) and the
 3-point Gauss (1D) and the 7-point degree-5 rule (2D), which integrates
 the cubic nonlinearity of P1 functions exactly in 1D and near-exactly
 in 2D.
+
+Assembly: the interior CSR pattern, the slot in it of every element
+entry and its transpose permutation are built once per mesh.  Every
+form is then two element kernels (a quadrature contraction of A followed
+by G W G^T, and the weighted mass values times a fixed phi_i phi_j
+table) and one ``np.bincount`` scatter into that pattern; see
+``Assembler``.
 """
 
 from __future__ import annotations
@@ -40,11 +47,6 @@ __all__ = [
     "AssembledForm",
     "Assembler",
     "build_mesh",
-    "assemble_h",
-    "assemble_gram",
-    "assemble_residual",
-    "assemble_jacobian",
-    "assemble_energy",
 ]
 
 @dataclass(frozen=True)
@@ -252,11 +254,23 @@ _G3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 class Assembler:
-    """Caches mesh geometry and quadrature data; assembles all forms.
+    """Caches mesh geometry, quadrature data and the interior scatter.
 
-    The expensive per-mesh precomputation (element gradients, quadrature
-    points, scatter indices, the Gram matrix) happens once; per-radius
-    assembly is a handful of vectorized evaluations.
+    Per mesh, once: element gradients, quadrature points, the interior
+    CSR pattern (the pairs of interior nodes sharing an element, rows and
+    columns sorted), the slot in its ``data`` of every element entry, the
+    permutation mapping ``data`` onto that of the transpose, and the Gram
+    matrix.  Per call, every form goes through two element kernels
+
+        stiffness  W_t = sum_q grad_w[t, q] A(r x_tq),   K_t = G_t W_t G_t^T
+        mass       M_t = (mass_w w(r x) c)_t @ Phi,  Phi[q, i nv + j] = phi_i phi_j
+
+    with c = f for H(r) and c = dV/du(r x, u) for J(r, u), so J(r, 0)
+    equals H(r) exactly.  A matrix is one ``np.bincount`` into the slots
+    followed by 0.5 (d + d[transpose]), which is exactly symmetric.  The
+    mass, nonlinear and energy terms read only w(r x) from the metric.
+    ``h``, ``jacobian``, ``residual`` and ``energy`` write no state, so
+    ``h`` may run concurrently.
     """
 
     def __init__(self, mesh: Mesh, metric: MetricModel, spec: ProblemSpec):
@@ -271,12 +285,17 @@ class Assembler:
             self._setup_1d()
         else:
             self._setup_2d()
-        ne, nv = self.elem_nodes.shape
-        rows = np.repeat(self.elem_nodes, nv, axis=1).ravel()
-        cols = np.tile(self.elem_nodes, (1, nv)).ravel()
-        self._rows, self._cols = rows, cols
+        nv = self.elem_nodes.shape[1]
+        phi = self.mass_phi
+        self._phi2 = np.ascontiguousarray(
+            (phi[:, None, :] * phi[None, :, :]).reshape(nv * nv, -1).T
+        )                                                  # (qm, nv * nv)
+        self._setup_scatter()
         self._int_idx = np.flatnonzero(~mesh.boundary_nodes)
-        self._S = self._assemble_matrix(self._grad_element_matrices_euclid())
+        w = self.grad_w.sum(axis=1)
+        self._S = self._scatter(
+            self._element_stiffness(w[:, None, None] * np.eye(mesh.dim))
+        )
         self._lu_S = None
 
     # -- geometry -----------------------------------------------------------
@@ -288,7 +307,6 @@ class Assembler:
         h = verts[:, 1] - verts[:, 0]
         if np.any(h <= 1e-14):
             raise ValueError("degenerate 1D element")
-        ne = len(h)
         self.grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None]  # (ne,2,1)
         mid = 0.5 * (verts[:, 0] + verts[:, 1])
         self.grad_pts = mid[:, None, None]                 # (ne, 1, 1)
@@ -318,44 +336,72 @@ class Assembler:
         self.mass_w = area[:, None] * _TRI7_W[None, :]
         self.mass_phi = _TRI7_BARY.T                       # (3, 7)
 
-    # -- generic element kernels ---------------------------------------------
+    def _setup_scatter(self):
+        """Interior CSR pattern, element-entry slots, transpose permutation.
 
-    def _grad_element_matrices_euclid(self):
-        w = self.grad_w.sum(axis=1)
-        return np.einsum("t,tia,tja->tij", w, self.grads, self.grads)
+        Entry (t, i, j) of the flattened element matrices goes to slot
+        ``_slot[t * nv * nv + i * nv + j]`` of ``data``; entries touching
+        a boundary node go to the extra slot nnz, which is discarded.
+        """
+        n = self.mesh.n_interior
+        dof = self.mesh.interior_dof_map[self.elem_nodes]  # (ne, nv)
+        nv = dof.shape[1]
+        rows = np.repeat(dof, nv, axis=1).ravel()
+        cols = np.tile(dof, (1, nv)).ravel()
+        inside = (rows >= 0) & (cols >= 0)
+        keys = rows.astype(np.int64) * n + cols
+        pattern, slot = np.unique(keys[inside], return_inverse=True)
+        nnz = pattern.size
+        prow, pcol = np.divmod(pattern, n)
+        idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
+        self._indptr = np.searchsorted(prow, np.arange(n + 1)).astype(idx)
+        self._indices = pcol.astype(idx)
+        self._transpose = np.searchsorted(pattern, pcol * n + prow)
+        self._slot = np.full(keys.size, nnz)
+        self._slot[inside] = slot
 
-    def _grad_element_matrices(self, r: float):
+    # -- element kernels and scatter -------------------------------------------
+
+    def _element_stiffness(self, W: np.ndarray) -> np.ndarray:
+        """G_t W_t G_t^T per element, flattened to (ne, nv * nv)."""
+        G = self.grads
+        return (G @ W @ G.transpose(0, 2, 1)).reshape(len(G), -1)
+
+    def _stiffness(self, r: float) -> np.ndarray:
         ne, qg, d = self.grad_pts.shape
         A, _ = metric_mod.coefficients(
             self.metric, (r * self.grad_pts).reshape(-1, d)
         )
-        A = A.reshape(ne, qg, d, d)
-        return np.einsum("tq,tqab,tia,tjb->tij", self.grad_w, A, self.grads, self.grads)
+        W = np.einsum("tq,tqab->tab", self.grad_w, A.reshape(ne, qg, d, d))
+        return self._element_stiffness(W)
 
-    def _mass_weights(self, r: float):
-        """Quadrature weight * w(r x) at the mass points, plus f(r x)."""
+    def _mass_data(self, r: float):
+        """Quadrature weight * w(r x) and f(r x) at the mass points."""
         ne, qm, d = self.mass_pts.shape
         pts = (r * self.mass_pts).reshape(-1, d)
-        _, wdet = metric_mod.coefficients(self.metric, pts)
+        w = metric_mod.weights(self.metric, pts)
         fv = self.spec.f_values(pts)
-        return (self.mass_w * wdet.reshape(ne, qm)), fv.reshape(ne, qm), pts
+        return self.mass_w * w.reshape(ne, qm), fv.reshape(ne, qm)
 
-    def _assemble_matrix(self, elem_mats) -> sp.csr_matrix:
-        n = self.mesh.n_nodes
-        M = sp.coo_matrix(
-            (elem_mats.ravel(), (self._rows, self._cols)), shape=(n, n)
-        ).tocsr()
-        M = M[self._int_idx][:, self._int_idx]
-        return (0.5 * (M + M.T)).tocsr()
+    def _matrix(self, r: float, wq: np.ndarray, cq: np.ndarray) -> sp.csr_matrix:
+        """Scatter of K_t + r^2 (wq cq) @ Phi; shared by ``h`` and ``jacobian``."""
+        return self._scatter(self._stiffness(r) + r * r * ((wq * cq) @ self._phi2))
 
-    def _full_vector(self, u: np.ndarray) -> np.ndarray:
+    def _scatter(self, elem_mats: np.ndarray) -> sp.csr_matrix:
+        nnz = self._indices.size
+        d = np.bincount(self._slot, weights=elem_mats.ravel(), minlength=nnz + 1)[:nnz]
+        d = 0.5 * (d + d[self._transpose])
+        n = self.mesh.n_interior
+        return sp.csr_matrix(
+            (d, self._indices.copy(), self._indptr.copy()), shape=(n, n)
+        )
+
+    def _element_values(self, u: np.ndarray):
+        """Nodal values per element (ne, nv) and values at the mass points."""
         full = np.zeros(self.mesh.n_nodes)
         full[self._int_idx] = u
-        return full
-
-    def _u_at_mass_points(self, ufull):
-        ue = ufull[self.elem_nodes]                        # (ne, nv)
-        return ue @ self.mass_phi                          # (ne, qm)
+        ue = full[self.elem_nodes]
+        return ue, ue @ self.mass_phi
 
     # -- public assembly ------------------------------------------------------
 
@@ -370,82 +416,31 @@ class Assembler:
     def h(self, r: float) -> AssembledForm:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"scale parameter r = {r} outside [0, 1]")
-        Ke = self._grad_element_matrices(r)
-        wq, fq, _ = self._mass_weights(r)
-        Me = np.einsum("tq,iq,jq->tij", wq * fq, self.mass_phi, self.mass_phi)
-        H = self._assemble_matrix(Ke + r * r * Me)
-        return AssembledForm(H=H, S=self._S, r=r)
-
-    def residual(self, r: float, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        ufull = self._full_vector(u)
-        ue = ufull[self.elem_nodes]
-        ne, qg, d = self.grad_pts.shape
-        A, _ = metric_mod.coefficients(
-            self.metric, (r * self.grad_pts).reshape(-1, d)
-        )
-        A = A.reshape(ne, qg, d, d)
-        gu = np.einsum("tia,ti->ta", self.grads, ue)
-        Fe = np.einsum("tq,tia,tqab,tb->ti", self.grad_w, self.grads, A, gu)
-        wq, fq, pts = self._mass_weights(r)
-        uq = self._u_at_mass_points(ufull)
-        vq = self.spec.v_values(fq, uq)
-        Fe += r * r * np.einsum("tq,iq->ti", wq * vq, self.mass_phi)
-        F = np.zeros(self.mesh.n_nodes)
-        np.add.at(F, self.elem_nodes.ravel(), Fe.ravel())
-        return F[self._int_idx]
+        wq, fq = self._mass_data(r)
+        return AssembledForm(H=self._matrix(r, wq, fq), S=self._S, r=r)
 
     def jacobian(self, r: float, u: np.ndarray) -> sp.csr_matrix:
-        u = np.asarray(u, dtype=float)
-        ufull = self._full_vector(u)
-        Ke = self._grad_element_matrices(r)
-        wq, fq, _ = self._mass_weights(r)
-        uq = self._u_at_mass_points(ufull)
-        dvq = self.spec.dv_values(fq, uq)
-        Me = np.einsum("tq,iq,jq->tij", wq * dvq, self.mass_phi, self.mass_phi)
-        return self._assemble_matrix(Ke + r * r * Me)
+        _, uq = self._element_values(u)
+        wq, fq = self._mass_data(r)
+        return self._matrix(r, wq, self.spec.dv_values(fq, uq))
+
+    def residual(self, r: float, u: np.ndarray) -> np.ndarray:
+        ue, uq = self._element_values(u)
+        ne, nv = ue.shape
+        Ke = self._stiffness(r).reshape(ne, nv, nv)
+        wq, fq = self._mass_data(r)
+        Fe = (Ke @ ue[:, :, None])[:, :, 0]
+        Fe += r * r * ((wq * self.spec.v_values(fq, uq)) @ self.mass_phi.T)
+        F = np.bincount(
+            self.elem_nodes.ravel(), weights=Fe.ravel(), minlength=self.mesh.n_nodes
+        )
+        return F[self._int_idx]
 
     def energy(self, r: float, u: np.ndarray) -> float:
         """Discrete functional whose exact gradient is ``residual``."""
-        u = np.asarray(u, dtype=float)
-        ufull = self._full_vector(u)
-        ue = ufull[self.elem_nodes]
-        ne, qg, d = self.grad_pts.shape
-        A, _ = metric_mod.coefficients(
-            self.metric, (r * self.grad_pts).reshape(-1, d)
-        )
-        A = A.reshape(ne, qg, d, d)
-        gu = np.einsum("tia,ti->ta", self.grads, ue)
-        grad_term = np.einsum("tq,ta,tqab,tb->", self.grad_w, gu, A, gu)
-        wq, fq, _ = self._mass_weights(r)
-        uq = self._u_at_mass_points(ufull)
-        gq = self.spec.g_values(fq, uq)
-        return 0.5 * grad_term + r * r * float(np.sum(wq * gq))
-
-
-# ---------------------------------------------------------------------------
-# Free-function entry points
-# ---------------------------------------------------------------------------
-
-def assemble_h(mesh, metric, spec, r) -> AssembledForm:
-    """H(r) over interior dofs plus the Gram matrix, see ``Assembler.h``."""
-    return Assembler(mesh, metric, spec).h(r)
-
-
-def assemble_gram(mesh) -> sp.csr_matrix:
-    """Euclidean H^1_0 Gram matrix over interior dofs."""
-    return Assembler(
-        mesh, metric_mod.euclidean(mesh.dim), ProblemSpec(0.0)
-    ).gram()
-
-
-def assemble_residual(mesh, metric, spec, r, u) -> np.ndarray:
-    return Assembler(mesh, metric, spec).residual(r, u)
-
-
-def assemble_jacobian(mesh, metric, spec, r, u) -> sp.csr_matrix:
-    return Assembler(mesh, metric, spec).jacobian(r, u)
-
-
-def assemble_energy(mesh, metric, spec, r, u) -> float:
-    return Assembler(mesh, metric, spec).energy(r, u)
+        ue, uq = self._element_values(u)
+        ne, nv = ue.shape
+        Ke = self._stiffness(r).reshape(ne, nv, nv)
+        grad_term = float(np.einsum("ti,tij,tj->", ue, Ke, ue))
+        wq, fq = self._mass_data(r)
+        return 0.5 * grad_term + r * r * float(np.sum(wq * self.spec.g_values(fq, uq)))

@@ -14,6 +14,10 @@ where s_k(t) = sin(sqrt(k) t)/sqrt(k) for k > 0, t for k = 0 and
 sinh(sqrt(-k) t)/sqrt(-k) for k < 0, and P_rad = x x^T / t^2,
 P_tan = I - P_rad.  A user-supplied (A, w) callback pair is accepted
 for metrics outside the built-in families.
+
+``coefficients`` evaluates (A, w) at a batch of points; ``weights``
+evaluates w alone, with the same checks and the same values, for the
+terms that need no A (mass, nonlinear and energy terms).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "eval_coefficients",
     "eval_scaled",
     "coefficients",
+    "weights",
 ]
 
 # Below this radius the trigonometric ratios are evaluated by series to
@@ -135,6 +140,41 @@ def _inv_sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
     return np.where(t < SERIES_CUTOFF, series, closed)
 
 
+def _checked_points(model: MetricModel, points, closed_ball: bool):
+    """Points as an (m, n) float array and their norms, after the checks
+    shared by ``weights`` and ``coefficients``."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    n = P.shape[1]
+    if n != model.dim:
+        raise ValueError(f"points have dimension {n}, metric has {model.dim}")
+    t = np.linalg.norm(P, axis=1)
+    lim = 1.0 + 1e-12 if closed_ball else 1.0 - 1e-15
+    if np.any(t > lim):
+        raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.max())
+    return P, t
+
+
+def _weights(model: MetricModel, P: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """w at checked points; (s_k(t)/t)^(n-1) for the space forms, whose
+    series branch gives exactly 1 at the center."""
+    m, n = P.shape
+    if model.kind == CALLBACK:
+        return np.asarray(model.w_fn(P), dtype=float).reshape(m)
+    if model.kind == EUCLIDEAN or model.kappa == 0.0:
+        return np.ones(m)
+    return _sin_ratio(model.kappa, t) ** (n - 1)
+
+
+def weights(model: MetricModel, points: np.ndarray, closed_ball: bool = True):
+    """Batched w = |g|^(1/2) alone, equal to ``coefficients(...)[1]``.
+
+    The mass, nonlinear and energy terms of the assembly need only w, so
+    they skip building A.  Same arguments, checks and errors as
+    ``coefficients``; returns an array of shape (m,).
+    """
+    return _weights(model, *_checked_points(model, points, closed_ball))
+
+
 def coefficients(model: MetricModel, points: np.ndarray, closed_ball: bool = True):
     """Batched (A, w) at an array of points.
 
@@ -151,29 +191,19 @@ def coefficients(model: MetricModel, points: np.ndarray, closed_ball: bool = Tru
     Returns
     -------
     A : ndarray, shape (m, n, n)
-    w : ndarray, shape (m,)
+    w : ndarray, shape (m,), the same values as ``weights``
     """
-    P = np.atleast_2d(np.asarray(points, dtype=float))
+    P, t = _checked_points(model, points, closed_ball)
     m, n = P.shape
-    if n != model.dim:
-        raise ValueError(f"points have dimension {n}, metric has {model.dim}")
-    t = np.linalg.norm(P, axis=1)
-    lim = 1.0 + 1e-12 if closed_ball else 1.0 - 1e-15
-    if np.any(t > lim):
-        raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.max())
+    w = _weights(model, P, t)
 
     if model.kind == CALLBACK:
-        A = np.asarray(model.a_fn(P), dtype=float).reshape(m, n, n)
-        w = np.asarray(model.w_fn(P), dtype=float).reshape(m)
-        return A, w
+        return np.asarray(model.a_fn(P), dtype=float).reshape(m, n, n), w
 
     if model.kind == EUCLIDEAN or model.kappa == 0.0:
-        A = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-        return A, np.ones(m)
+        return np.broadcast_to(np.eye(n), (m, n, n)).copy(), w
 
-    q = _sin_ratio(model.kappa, t)          # s(t)/t
     qi = _inv_sin_ratio(model.kappa, t)     # t/s(t)
-    w = q ** (n - 1)
     # Radial projector e e^T, with e = x/t; at t = 0 both projector
     # coefficients coincide (A -> I), so any unit e works there.
     safe_t = np.where(t > 0.0, t, 1.0)
@@ -186,7 +216,6 @@ def coefficients(model: MetricModel, points: np.ndarray, closed_ball: bool = Tru
     at_center = t == 0.0
     if np.any(at_center):
         A[at_center] = np.eye(n)
-        w = np.where(at_center, 1.0, w)
     return A, w
 
 

@@ -222,7 +222,11 @@ def kernel_eigenpairs(
     extraction; deterministic through the fixed seed.  Converges in a
     few sweeps whenever the eigenvalues nearest zero are well separated
     from the rest, which is exactly the regime it is used in (kernel
-    bases at a located degeneracy, the r = 1 degeneracy check).
+    bases at a located degeneracy, the r = 1 degeneracy check).  A sweep
+    converges when the k Ritz values agree with the previous sweep's to
+    rtol 1e-13 or ``tol * ||H||_inf``; if ``max_iter`` sweeps end without
+    that, ``FactorizationError`` is raised rather than an unconverged
+    basis returned.
     """
     n = H.shape[0]
     if not 1 <= k <= n:
@@ -266,6 +270,10 @@ def kernel_eigenpairs(
         ):
             break
         theta_old = theta
+    else:
+        raise FactorizationError(
+            f"inverse iteration did not converge in {max_iter} sweeps"
+        )
     vals = theta[:k]
     vecs = X[:, :k]
     # Ascending eigenvalue order within the returned block.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from smalescan import fem, metric, problem
 
@@ -9,6 +10,11 @@ def hat_stiffness(n_elem, length=2.0):
     n = n_elem - 1
     return (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
             + np.diag(np.full(n - 1, -1.0), -1)) / h
+
+
+def flat_assembler(mesh):
+    """Euclidean metric, f = 0: h(r) is the Gram matrix for every r."""
+    return fem.Assembler(mesh, metric.euclidean(mesh.dim), problem.linear_problem(0.0))
 
 
 def hat_mass(n_elem, length=2.0):
@@ -82,54 +88,55 @@ class TestMesh:
 
 class TestAssembleH:
     def test_1d_flat_no_potential_is_stiffness(self):
-        mesh = fem.build_mesh(1, 10)
+        asm = flat_assembler(fem.build_mesh(1, 10))
         for r in (0.0, 0.3, 1.0):
-            form = fem.assemble_h(mesh, metric.euclidean(1), problem.linear_problem(0.0), r)
+            form = asm.h(r)
             assert np.allclose(form.H.toarray(), hat_stiffness(10), atol=1e-14)
 
     def test_r_zero_is_pure_stiffness_any_metric(self):
         mesh = fem.build_mesh(2, 4)
         met = metric.constant_curvature(2, 1.0)
         spec = problem.linear_problem(-17.0)
-        form = fem.assemble_h(mesh, met, spec, 0.0)
-        gram = fem.assemble_gram(mesh)
+        form = fem.Assembler(mesh, met, spec).h(0.0)
+        gram = flat_assembler(mesh).gram()
         assert np.allclose(form.H.toarray(), gram.toarray(), atol=1e-14)
 
     def test_1d_constant_potential_closed_form(self):
         mesh = fem.build_mesh(1, 8)
         c, r = 5.0, 0.6
-        form = fem.assemble_h(mesh, metric.euclidean(1), problem.linear_problem(-c), r)
+        form = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-c)).h(r)
         expect = hat_stiffness(8) - c * r * r * hat_mass(8)
         assert np.allclose(form.H.toarray(), expect, atol=1e-13)
 
     def test_symmetry(self):
         mesh = fem.build_mesh(2, 6)
-        form = fem.assemble_h(mesh, metric.constant_curvature(2, 1.0),
-                              problem.linear_problem(-9.0), 0.7)
+        form = fem.Assembler(mesh, metric.constant_curvature(2, 1.0),
+                             problem.linear_problem(-9.0)).h(0.7)
         diff = (form.H - form.H.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
 
     def test_rejects_bad_r(self):
         mesh = fem.build_mesh(1, 4)
         with pytest.raises(ValueError):
-            fem.assemble_h(mesh, metric.euclidean(1), problem.linear_problem(0.0), 1.5)
+            fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(0.0)).h(1.5)
 
 
 class TestGram:
     def test_1d_four_elements(self):
         # h = 0.5: tridiagonal with 4 on the diagonal, -2 off.
-        S = fem.assemble_gram(fem.build_mesh(1, 4)).toarray()
+        S = flat_assembler(fem.build_mesh(1, 4)).gram().toarray()
         assert np.allclose(S, [[4, -2, 0], [-2, 4, -2], [0, -2, 4]], atol=1e-14)
 
     def test_equals_flat_h_without_potential(self):
         mesh = fem.build_mesh(2, 5)
-        S = fem.assemble_gram(mesh)
-        form = fem.assemble_h(mesh, metric.euclidean(2), problem.linear_problem(0.0), 0.9)
+        asm = flat_assembler(mesh)
+        S = asm.gram()
+        form = asm.h(0.9)
         assert np.allclose(S.toarray(), form.H.toarray(), atol=1e-14)
 
     @pytest.mark.parametrize("dim,res", [(1, 50), (2, 6)])
     def test_positive_definite(self, dim, res):
-        S = fem.assemble_gram(fem.build_mesh(dim, res)).toarray()
+        S = flat_assembler(fem.build_mesh(dim, res)).gram().toarray()
         assert np.linalg.eigvalsh(S).min() > 0.0
 
 
@@ -203,6 +210,70 @@ class TestResidualJacobian:
         assert fd == pytest.approx(float(res @ d), rel=1e-6)
 
 
+def reference_assembly(asm, r, u):
+    """(H(r), J(r, u), F(r, u), S) by COO assembly with four-operand
+    einsum kernels: convert to CSR, slice the interior, symmetrize.
+
+    Oracle for the precomputed scatter and the matmul kernels of
+    ``fem.Assembler``; it reads only the assembler's geometry and
+    quadrature attributes and evaluates w through ``coefficients``.
+    """
+    mesh, met, spec = asm.mesh, asm.metric, asm.spec
+    nodes, phi = asm.elem_nodes, asm.mass_phi
+    ne, nv = nodes.shape
+    N = mesh.n_nodes
+    interior = np.flatnonzero(~mesh.boundary_nodes)
+    rows = np.repeat(nodes, nv, axis=1).ravel()
+    cols = np.tile(nodes, (1, nv)).ravel()
+
+    def matrix(elem_mats):
+        M = sp.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+        M = M[interior][:, interior]
+        return (0.5 * (M + M.T)).tocsr()
+
+    _, qg, d = asm.grad_pts.shape
+    A, _ = metric.coefficients(met, (r * asm.grad_pts).reshape(-1, d))
+    A = A.reshape(ne, qg, d, d)
+    Ke = np.einsum("tq,tqab,tia,tjb->tij", asm.grad_w, A, asm.grads, asm.grads)
+    qm = asm.mass_pts.shape[1]
+    pts = (r * asm.mass_pts).reshape(-1, d)
+    wq = asm.mass_w * metric.coefficients(met, pts)[1].reshape(ne, qm)
+    fq = spec.f_values(pts).reshape(ne, qm)
+    full = np.zeros(N)
+    full[interior] = u
+    ue = full[nodes]
+    uq = ue @ phi
+    H = matrix(Ke + r * r * np.einsum("tq,iq,jq->tij", wq * fq, phi, phi))
+    dvq = spec.dv_values(fq, uq)
+    J = matrix(Ke + r * r * np.einsum("tq,iq,jq->tij", wq * dvq, phi, phi))
+    gu = np.einsum("tia,ti->ta", asm.grads, ue)
+    Fe = np.einsum("tq,tia,tqab,tb->ti", asm.grad_w, asm.grads, A, gu)
+    Fe += r * r * np.einsum("tq,iq->ti", wq * spec.v_values(fq, uq), phi)
+    F = np.zeros(N)
+    np.add.at(F, nodes.ravel(), Fe.ravel())
+    S = matrix(np.einsum("t,tia,tja->tij", asm.grad_w.sum(axis=1), asm.grads, asm.grads))
+    return H, J, F[interior], S
+
+
+@pytest.mark.parametrize("dim,res,kappa", [
+    (1, 40, 0.0), (2, 6, 0.0), (2, 6, 1.0), (2, 6, -1.0),
+], ids=["1d-40", "disc-6", "cap-6", "hyperbolic-6"])
+@pytest.mark.parametrize("r", [0.0, 0.37, 1.0])
+def test_assembly_matches_reference(dim, res, kappa, r):
+    mesh = fem.build_mesh(dim, res)
+    met = metric.euclidean(dim) if kappa == 0.0 else metric.constant_curvature(dim, kappa)
+    asm = fem.Assembler(mesh, met, problem.cubic_problem(-20.0, 1.5))
+    u = 0.5 * np.random.default_rng(11).standard_normal(mesh.n_interior)
+    H, J, F, S = reference_assembly(asm, r, u)
+    for new, ref in ((asm.h(r).H, H), (asm.jacobian(r, u), J), (asm.gram(), S)):
+        assert np.array_equal(new.indptr, ref.indptr)
+        assert np.array_equal(new.indices, ref.indices)
+        assert abs(new - ref).max() <= 1e-13 * abs(ref).max()
+        assert abs(new - new.T).max() == 0.0
+    res_new = asm.residual(r, u)
+    assert np.max(np.abs(res_new - F)) <= 1e-13 * np.max(np.abs(F))
+
+
 def test_1d_eigenvalue_convergence_is_second_order():
     # smallest Dirichlet eigenvalue of -u'' on (-1,1) is (pi/2)^2
     import scipy.linalg as la
@@ -210,8 +281,9 @@ def test_1d_eigenvalue_convergence_is_second_order():
     errs = []
     for res in (40, 80, 160):
         mesh = fem.build_mesh(1, res)
-        K = fem.assemble_gram(mesh).toarray()
-        form_mass = fem.assemble_h(mesh, metric.euclidean(1), problem.linear_problem(1.0), 1.0)
+        asm = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(1.0))
+        K = asm.gram().toarray()
+        form_mass = asm.h(1.0)
         M = form_mass.H.toarray() - K
         lam = la.eigh(K, M, subset_by_index=[0, 0])[0][0]
         errs.append(abs(lam - exact))

@@ -140,3 +140,42 @@ def test_one_dimensional_space_forms_are_flat():
     A, w = metric.eval_coefficients(m, [0.7])
     assert A[0, 0] == pytest.approx(1.0, rel=1e-15)
     assert w == pytest.approx(1.0, rel=1e-15)
+
+
+def _callback_model():
+    def a_fn(P):
+        return (1.0 + np.sum(P * P, axis=1))[:, None, None] * np.eye(P.shape[1])
+
+    def w_fn(P):
+        return 1.0 + 0.5 * np.sum(P * P, axis=1) + 0.1 * P[:, 0]
+
+    return metric.callback_metric(2, a_fn, w_fn)
+
+
+@pytest.mark.parametrize("model", [
+    metric.euclidean(2),
+    metric.constant_curvature(2, 1.0),
+    metric.constant_curvature(2, -1.0),
+    metric.constant_curvature(3, 1.0),
+    _callback_model(),
+], ids=["euclidean", "kappa+1", "kappa-1", "kappa+1-3d", "callback"])
+def test_weights_equal_coefficients_w(model):
+    n = model.dim
+    pts = np.zeros((5, n))
+    pts[1, 0] = 0.3 * metric.SERIES_CUTOFF          # series branch
+    pts[2, :2] = [0.3, -0.4]
+    pts[3, -1] = 1.0                                # on the unit sphere
+    pts[4, :2] = [-0.6, 0.8]
+    w = metric.weights(model, pts)
+    assert w.shape == (5,)
+    assert np.array_equal(w, metric.coefficients(model, pts)[1])
+    assert w[0] == 1.0
+    outside = np.zeros((1, n))
+    outside[0, 0] = 1.0 + 1e-9
+    for fn in (metric.weights, metric.coefficients):
+        with pytest.raises(ValueError):
+            fn(model, outside)
+        with pytest.raises(ValueError):
+            fn(model, np.zeros((1, n + 1)))
+        with pytest.raises(ValueError):
+            fn(model, pts[3:4], closed_ball=False)

@@ -16,21 +16,25 @@ def random_symmetric_with_inertia(rng, n_neg, n_zero, n_pos, seed_scale=1.0):
     return seed_scale * (Q * d) @ Q.T
 
 
+def flat_assembler(mesh):
+    return fem.Assembler(mesh, metric.euclidean(mesh.dim), problem.linear_problem(0.0))
+
+
 class TestInertia:
     def test_diagonal_example(self):
         I = spectral.inertia(np.diag([-2.0, 0.0, 3.0]), 1e-8)
         assert (I.n_neg, I.n_zero, I.n_pos) == (1, 1, 1)
 
     def test_spd_stiffness(self):
-        S = fem.assemble_gram(fem.build_mesh(1, 50))
+        S = flat_assembler(fem.build_mesh(1, 50)).gram()
         I = spectral.inertia(S)
         assert (I.n_neg, I.n_zero, I.n_pos) == (0, 0, 49)
 
     def test_1d_oscillator_morse_index(self):
         # eigenvalues (k pi / 2)^2 - (2.3 pi)^2 are negative iff k <= 4
         mesh = fem.build_mesh(1, 2000)
-        form = fem.assemble_h(mesh, metric.euclidean(1),
-                              problem.linear_problem(-(2.3 * np.pi) ** 2), 1.0)
+        form = fem.Assembler(mesh, metric.euclidean(1),
+                             problem.linear_problem(-(2.3 * np.pi) ** 2)).h(1.0)
         assert spectral.inertia(form.H).n_neg == 4
         assert spectral.inertia(form.H.toarray()).n_neg == 4
 
@@ -103,7 +107,7 @@ class TestInertia:
 
 class TestSmallestEigenpairs:
     def test_identity_pencil(self):
-        S = fem.assemble_gram(fem.build_mesh(1, 30))
+        S = flat_assembler(fem.build_mesh(1, 30)).gram()
         pairs = spectral.smallest_eigenpairs(S, S, 3)
         assert np.allclose(pairs.values, 1.0, atol=1e-12)
 
@@ -140,7 +144,7 @@ class TestSmallestEigenpairs:
             assert num / np.linalg.norm(form.H @ v) <= 1e-10
 
     def test_rejects_bad_k(self):
-        S = fem.assemble_gram(fem.build_mesh(1, 10))
+        S = flat_assembler(fem.build_mesh(1, 10)).gram()
         with pytest.raises(ValueError):
             spectral.smallest_eigenpairs(S, S, 0)
         with pytest.raises(ValueError):
@@ -185,3 +189,10 @@ class TestKernelEigenpairs:
         b = spectral.kernel_eigenpairs(form.H, form.S, 2)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
+
+    def test_raises_when_sweeps_run_out(self):
+        # The convergence test compares two sweeps, so one sweep never passes it.
+        mesh = fem.build_mesh(1, 200)
+        form = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-30.0)).h(0.5)
+        with pytest.raises(spectral.FactorizationError):
+            spectral.kernel_eigenpairs(form.H, form.S, 1, max_iter=1)
