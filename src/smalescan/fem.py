@@ -353,9 +353,8 @@ class Assembler:
         pattern, slot = np.unique(keys[inside], return_inverse=True)
         nnz = pattern.size
         prow, pcol = np.divmod(pattern, n)
-        idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
-        self._indptr = np.searchsorted(prow, np.arange(n + 1)).astype(idx)
-        self._indices = pcol.astype(idx)
+        self._indptr = np.searchsorted(prow, np.arange(n + 1)).astype(np.int32)
+        self._indices = pcol.astype(np.int32)
         self._transpose = np.searchsorted(pattern, pcol * n + prow)
         self._slot = np.full(keys.size, nnz)
         self._slot[inside] = slot

@@ -165,14 +165,14 @@ def _weights(model: MetricModel, P: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _sin_ratio(model.kappa, t) ** (n - 1)
 
 
-def weights(model: MetricModel, points: np.ndarray, closed_ball: bool = True):
+def weights(model: MetricModel, points: np.ndarray) -> np.ndarray:
     """Batched w = |g|^(1/2) alone, equal to ``coefficients(...)[1]``.
 
     The mass, nonlinear and energy terms of the assembly need only w, so
-    they skip building A.  Same arguments, checks and errors as
-    ``coefficients``; returns an array of shape (m,).
+    they skip building A.  Same checks and errors as ``coefficients`` on
+    the closed unit ball; returns an array of shape (m,).
     """
-    return _weights(model, *_checked_points(model, points, closed_ball))
+    return _weights(model, *_checked_points(model, points, True))
 
 
 def coefficients(model: MetricModel, points: np.ndarray, closed_ball: bool = True):

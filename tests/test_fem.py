@@ -211,7 +211,7 @@ class TestResidualJacobian:
 
 
 def reference_assembly(asm, r, u):
-    """(H(r), J(r, u), F(r, u), S) by COO assembly with four-operand
+    """(H(r), J(r, u), F(r, u), S, E(r, u)) by COO assembly with four-operand
     einsum kernels: convert to CSR, slice the interior, symmetrize.
 
     Oracle for the precomputed scatter and the matmul kernels of
@@ -252,7 +252,9 @@ def reference_assembly(asm, r, u):
     F = np.zeros(N)
     np.add.at(F, nodes.ravel(), Fe.ravel())
     S = matrix(np.einsum("t,tia,tja->tij", asm.grad_w.sum(axis=1), asm.grads, asm.grads))
-    return H, J, F[interior], S
+    E = 0.5 * np.einsum("tq,ta,tqab,tb->", asm.grad_w, gu, A, gu)
+    E += r * r * np.sum(wq * spec.g_values(fq, uq))
+    return H, J, F[interior], S, E
 
 
 @pytest.mark.parametrize("dim,res,kappa", [
@@ -264,7 +266,7 @@ def test_assembly_matches_reference(dim, res, kappa, r):
     met = metric.euclidean(dim) if kappa == 0.0 else metric.constant_curvature(dim, kappa)
     asm = fem.Assembler(mesh, met, problem.cubic_problem(-20.0, 1.5))
     u = 0.5 * np.random.default_rng(11).standard_normal(mesh.n_interior)
-    H, J, F, S = reference_assembly(asm, r, u)
+    H, J, F, S, E = reference_assembly(asm, r, u)
     for new, ref in ((asm.h(r).H, H), (asm.jacobian(r, u), J), (asm.gram(), S)):
         assert np.array_equal(new.indptr, ref.indptr)
         assert np.array_equal(new.indices, ref.indices)
@@ -272,6 +274,7 @@ def test_assembly_matches_reference(dim, res, kappa, r):
         assert abs(new - new.T).max() == 0.0
     res_new = asm.residual(r, u)
     assert np.max(np.abs(res_new - F)) <= 1e-13 * np.max(np.abs(F))
+    assert abs(asm.energy(r, u) - E) <= 1e-13 * abs(E)
 
 
 def test_1d_eigenvalue_convergence_is_second_order():

@@ -177,5 +177,3 @@ def test_weights_equal_coefficients_w(model):
             fn(model, outside)
         with pytest.raises(ValueError):
             fn(model, np.zeros((1, n + 1)))
-        with pytest.raises(ValueError):
-            fn(model, pts[3:4], closed_ball=False)
