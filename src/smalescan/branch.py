@@ -6,7 +6,9 @@ conjugate radius.  This module traces such branches (warm-started
 damped Newton, seeded along the kernel direction with the pitchfork
 amplitude sqrt(step)), confirms that their norm vanishes into the
 crossing, and conversely certifies by multi-start search that no small
-nontrivial solutions exist near non-conjugate radii.
+nontrivial solutions exist near non-conjugate radii.  Like the stages
+of ``conjugate``, every function takes the problem's ``fem.Assembler``
+first.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import Assembler, Mesh
-from .metric import MetricModel
-from .problem import ProblemSpec
+from .fem import Assembler
 
 __all__ = [
     "BranchSample",
@@ -37,6 +37,7 @@ NEWTON_MAX_ITERS = 50
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 TRIVIAL_NORM = 1e-8
+SMALL_NORM = 1e-2
 MULTISTART_SEED = 20240801
 
 
@@ -64,25 +65,16 @@ def _h1_norm(S, u) -> float:
     return math.sqrt(max(float(u @ (S @ u)), 0.0))
 
 
-def newton_solve(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    r: float,
-    u0: np.ndarray,
-    max_iters: int = NEWTON_MAX_ITERS,
-    assembler: Optional[Assembler] = None,
-    tol: float = NEWTON_TOL,
-) -> BranchSample:
+def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
     """Damped Newton for the semilinear residual at fixed r.
 
     The merit function is half the squared residual in the S-inverse
     (dual) norm; steps backtrack by halving until the Armijo decrease
-    holds.  Convergence means residual_norm <= tol * (1 + ||H(r)||).
-    A singular Jacobian or a stalled line search ends the run with
-    ``converged = False``; the caller decides whether to reseed.
+    holds.  Convergence means residual_norm <= NEWTON_TOL * (1 + ||H(r)||)
+    within NEWTON_MAX_ITERS steps.  A singular Jacobian or a stalled line
+    search ends the run with ``converged = False``; the caller decides
+    whether to reseed.
     """
-    asm = assembler or Assembler(mesh, metric, spec)
     S = asm.gram()
     lu_S = asm.gram_lu()
     u = np.asarray(u0, dtype=float).copy()
@@ -90,7 +82,7 @@ def newton_solve(
         raise ValueError(f"u0 has shape {u.shape}, expected ({S.shape[0]},)")
 
     h_scale = abs(asm.h(r).H).max()
-    tol_abs = tol * (1.0 + h_scale)
+    tol_abs = NEWTON_TOL * (1.0 + h_scale)
 
     def dual_norm(res):
         z = lu_S.solve(res)
@@ -100,7 +92,7 @@ def newton_solve(
     rnorm = dual_norm(res)
     iters = 0
     converged = rnorm <= tol_abs
-    while not converged and iters < max_iters:
+    while not converged and iters < NEWTON_MAX_ITERS:
         J = asm.jacobian(r, u)
         try:
             lu_J = spla.splu(sp.csc_matrix(J))
@@ -153,15 +145,12 @@ def _seed_amplitude(asm: Assembler, r1: float, phi: np.ndarray, step_size: float
 
 
 def trace_branch(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
+    asm: Assembler,
     r_star: float,
     kernel_vector: np.ndarray,
     direction: int,
     steps: int,
     step_size: float,
-    assembler: Optional[Assembler] = None,
 ) -> BranchTrace:
     """Follow a nontrivial branch away from a conjugate radius.
 
@@ -184,7 +173,6 @@ def trace_branch(
         raise ValueError("direction must be +1 or -1")
     if steps < 2:
         raise ValueError("need at least 2 continuation steps")
-    asm = assembler or Assembler(mesh, metric, spec)
     S = asm.gram()
     phi = np.asarray(kernel_vector, dtype=float)
     phi = phi / _h1_norm(S, phi)
@@ -198,10 +186,10 @@ def trace_branch(
         if not 0.0 < r_j <= 1.0:
             failure = f"continuation left (0, 1] at r = {r_j:.6f}"
             break
-        sample = newton_solve(mesh, metric, spec, r_j, guess, assembler=asm)
+        sample = newton_solve(asm, r_j, guess)
         if sample.converged and sample.h1_norm <= TRIVIAL_NORM:
             retry_guess = 2.0 * (guess if samples else amplitude * phi)
-            sample = newton_solve(mesh, metric, spec, r_j, retry_guess, assembler=asm)
+            sample = newton_solve(asm, r_j, retry_guess)
         if not sample.converged:
             failure = f"Newton did not converge at r = {r_j:.6f}"
             break
@@ -235,38 +223,29 @@ def trace_branch(
 
 
 def multistart_no_small_solutions(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    r: float,
-    n_seeds: int = 20,
-    seed_norm: float = 1e-2,
-    small_norm: float = 1e-2,
-    assembler: Optional[Assembler] = None,
-    rng_seed: int = MULTISTART_SEED,
+    asm: Assembler, r: float, n_seeds: int = 20, seed_norm: float = 1e-2
 ) -> Tuple[bool, List[BranchSample]]:
     """Search for small nontrivial solutions from random small seeds.
 
     Away from conjugate radii the implicit function theorem forbids
     nontrivial solutions near zero; every converged run must land on
-    the trivial solution (or escape past ``small_norm``).  Returns
+    the trivial solution (or escape past SMALL_NORM).  Returns
     (clean, samples) where clean means no converged solution had
-    TRIVIAL_NORM < h1_norm <= small_norm.  Deterministic via the fixed
-    seed.
+    TRIVIAL_NORM < h1_norm <= SMALL_NORM.  Deterministic via the fixed
+    seed MULTISTART_SEED.
     """
-    asm = assembler or Assembler(mesh, metric, spec)
     S = asm.gram()
     n = S.shape[0]
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(MULTISTART_SEED)
     samples = []
     clean = True
     for i in range(n_seeds):
         g = rng.standard_normal(n)
         scale = seed_norm * (i + 1) / n_seeds
         u0 = g * (scale / _h1_norm(S, g))
-        sample = newton_solve(mesh, metric, spec, r, u0, assembler=asm)
+        sample = newton_solve(asm, r, u0)
         samples.append(sample)
-        if sample.converged and TRIVIAL_NORM < sample.h1_norm <= small_norm:
+        if sample.converged and TRIVIAL_NORM < sample.h1_norm <= SMALL_NORM:
             clean = False
     return clean, samples
 

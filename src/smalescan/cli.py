@@ -198,18 +198,18 @@ class Pipeline:
     def __init__(self, cfg: RunConfig, out_dir: Path, threads: int = 1):
         self.cfg = cfg
         self.out = out_dir
-        self.threads = max(1, threads)
-        self.mesh = fem.build_mesh(cfg.mesh_dim, cfg.mesh_resolution)
+        self.threads = threads
+        mesh = fem.build_mesh(cfg.mesh_dim, cfg.mesh_resolution)
         if cfg.metric_kind == "euclidean":
-            self.metric = metric.euclidean(cfg.metric_dim)
+            met = metric.euclidean(cfg.metric_dim)
         else:
-            self.metric = metric.constant_curvature(cfg.metric_dim, cfg.metric_kappa)
+            met = metric.constant_curvature(cfg.metric_dim, cfg.metric_kappa)
         f = problem.parse_field(cfg.problem_f, cfg.mesh_dim)
         if cfg.problem_nonlinearity == "linear":
-            self.spec = problem.linear_problem(f)
+            spec = problem.linear_problem(f)
         else:
-            self.spec = problem.cubic_problem(f, cfg.problem_cubic_b)
-        self.assembler = Assembler(self.mesh, self.metric, self.spec)
+            spec = problem.cubic_problem(f, cfg.problem_cubic_b)
+        self.assembler = Assembler(mesh, met, spec)
         self._scan = None
         self._conjugates = None
 
@@ -219,49 +219,21 @@ class Pipeline:
         if self._scan is None:
             grid = np.linspace(self.cfg.scan_r_min, 1.0, self.cfg.scan_grid_points)
             self._scan = conj_mod.scan(
-                self.mesh,
-                self.metric,
-                self.spec,
-                grid,
-                k=self.cfg.scan_k_eigs,
-                assembler=self.assembler,
-                threads=self.threads,
+                self.assembler, grid, k=self.cfg.scan_k_eigs, threads=self.threads
             )
         return self._scan
 
     def conjugates(self) -> List[conj_mod.ConjugateRadius]:
         if self._conjugates is None:
-            self._conjugates = conj_mod.find_conjugate_radii(
-                self.mesh, self.metric, self.spec, self.scan(), assembler=self.assembler
-            )
+            self._conjugates = conj_mod.find_conjugate_radii(self.assembler, self.scan())
         return self._conjugates
 
     def crossing_reports(self) -> List[conj_mod.CrossingFormReport]:
-        return [
-            conj_mod.verify_crossing(
-                self.mesh, self.metric, self.spec, cj, assembler=self.assembler
-            )
-            for cj in self.conjugates()
-        ]
-
-    def endpoint_guard(self):
-        gap = conj_mod.endpoint_kernel_gap(
-            self.mesh, self.metric, self.spec, assembler=self.assembler
-        )
-        if gap < conj_mod.KERNEL_THRESHOLD_AT_ONE:
-            raise DegenerateRadiusOneError(
-                f"|lambda_min(H(1), S)| = {gap:.3e} < "
-                f"{conj_mod.KERNEL_THRESHOLD_AT_ONE}"
-            )
+        return [conj_mod.verify_crossing(self.assembler, cj) for cj in self.conjugates()]
 
     def index_report(self) -> conj_mod.IndexReport:
         return conj_mod.verify_index(
-            self.mesh,
-            self.metric,
-            self.spec,
-            self.conjugates(),
-            assembler=self.assembler,
-            r_min=self.cfg.scan_r_min,
+            self.assembler, self.conjugates(), r_min=self.cfg.scan_r_min
         )
 
     def branch_traces(self):
@@ -271,15 +243,12 @@ class Pipeline:
             for direction in (+1, -1):
                 per_radius.append(
                     branch_mod.trace_branch(
-                        self.mesh,
-                        self.metric,
-                        self.spec,
+                        self.assembler,
                         cj.r_star,
                         cj.kernel_basis[:, 0],
                         direction,
                         self.cfg.branch_steps,
                         self.cfg.branch_step_size,
-                        assembler=self.assembler,
                     )
                 )
             traces.append((cj, per_radius))
@@ -288,12 +257,13 @@ class Pipeline:
     # -- emission -----------------------------------------------------------
 
     def write_mesh_dump(self):
-        coords = ["x%d" % (i + 1) for i in range(self.mesh.dim)]
-        _write_csv(self.out / "nodes.csv", coords, self.mesh.nodes)
+        mesh = self.assembler.mesh
+        coords = ["x%d" % (i + 1) for i in range(mesh.dim)]
+        _write_csv(self.out / "nodes.csv", coords, mesh.nodes)
         _write_csv(
             self.out / "elements.csv",
-            ["n%d" % i for i in range(self.mesh.dim + 1)],
-            self.mesh.elements,
+            ["n%d" % i for i in range(mesh.dim + 1)],
+            mesh.elements,
         )
 
     def write_scan(self):
@@ -397,7 +367,8 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
     code = EXIT_OK
     try:
         if "verify-index" in stages:
-            pipe.endpoint_guard()  # police the r = 1 assumption before heavy work
+            # Police the r = 1 assumption before heavy work.
+            conj_mod.endpoint_kernel_gap(pipe.assembler)
         if "scan" in stages:
             pipe.write_scan()
         if set(stages) & {"conjugate", "crossing", "verify-index", "bifurcate"}:
@@ -472,7 +443,15 @@ def main(argv=None) -> int:
         try:
             threads = int(os.environ.get(THREADS_ENV, "1"))
         except ValueError:
-            threads = 1
+            print(
+                f"error: {THREADS_ENV} must be an integer, got "
+                f"{os.environ[THREADS_ENV]!r}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+    if threads < 1:
+        print(f"error: thread count must be >= 1, got {threads}", file=sys.stderr)
+        return EXIT_USAGE
     return run(args.subcommand, args.config, out_dir=args.out, threads=threads)
 
 

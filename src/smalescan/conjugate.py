@@ -19,6 +19,10 @@ definiteness of the form, and the index identity
     mu(H(1)) = sum of multiplicities over 0 < r < 1
 
 are the verification products of this module.
+
+Every stage takes the ``fem.Assembler`` of one problem first: it owns
+the mesh, the metric and the problem spec, so the radius family H(r) a
+stage works on is fixed by that one argument.
 """
 
 from __future__ import annotations
@@ -31,9 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import metric as metric_mod
-from .fem import Assembler, Mesh
-from .metric import MetricModel
-from .problem import ProblemSpec
+from .fem import Assembler
 from .spectral import FactorizationError, inertia, kernel_eigenpairs, smallest_eigenpairs
 
 __all__ = [
@@ -45,9 +47,11 @@ __all__ = [
     "DegenerateRadiusOneError",
     "scan",
     "locate",
+    "find_conjugate_radii",
     "crossing_form_fd",
     "crossing_form_boundary",
     "verify_crossing",
+    "endpoint_kernel_gap",
     "verify_index",
 ]
 
@@ -149,13 +153,7 @@ def _check_rise(r_a: float, n_a: int, r_b: float, n_b: int):
 
 
 def scan(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    r_grid: Sequence[float],
-    k: int = 0,
-    assembler: Optional[Assembler] = None,
-    threads: int = 1,
+    asm: Assembler, r_grid: Sequence[float], k: int = 0, threads: int = 1
 ) -> ScanResult:
     """Negative counts (and optionally k smallest eigenvalues) over a grid.
 
@@ -173,7 +171,6 @@ def scan(
         raise ValueError("scan grid must be strictly ascending")
     if r_grid[0] < R_MIN_FLOOR - 1e-15 or r_grid[-1] > 1.0 + 1e-15:
         raise ValueError(f"scan grid must lie in [{R_MIN_FLOOR}, 1]")
-    asm = assembler or Assembler(mesh, metric, spec)
     count = _n_neg_evaluator(asm)
 
     def eval_point(r: float):
@@ -223,15 +220,7 @@ def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol) -> List[Tuple[float, float, int,
     return final
 
 
-def locate(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    r_lo: float,
-    r_hi: float,
-    assembler: Optional[Assembler] = None,
-    tol: Optional[float] = None,
-) -> List[ConjugateRadius]:
+def locate(asm: Assembler, r_lo: float, r_hi: float) -> List[ConjugateRadius]:
     """Conjugate radii inside a bracket with an inertia jump.
 
     Bisection runs on the strict negative-pivot count (no zero band;
@@ -240,11 +229,10 @@ def locate(
     separate near-coincident crossings; sub-brackets that keep a jump
     >= 2 down to the final width are genuine multiple crossings, and
     their multiplicity is the jump itself.  Kernel bases come from the
-    smallest-|lambda| eigenvectors at the final midpoint.
+    smallest-|lambda| eigenvectors at the final midpoint.  Brackets
+    shrink to BISECTION_TOL of the mesh dimension.
     """
-    asm = assembler or Assembler(mesh, metric, spec)
-    if tol is None:
-        tol = BISECTION_TOL[mesh.dim]
+    tol = BISECTION_TOL[asm.mesh.dim]
     n_neg = _n_neg_evaluator(asm)
     n_lo, n_hi = n_neg(r_lo), n_neg(r_hi)
     _check_rise(r_lo, n_lo, r_hi, n_hi)
@@ -295,25 +283,16 @@ def locate(
     return out
 
 
-def find_conjugate_radii(
-    mesh, metric, spec, scan_result: ScanResult, assembler=None, tol=None
-) -> List[ConjugateRadius]:
+def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[ConjugateRadius]:
     """Locate every crossing bracketed by a scan."""
-    asm = assembler or Assembler(mesh, metric, spec)
     out = []
     for r_lo, r_hi, _ in scan_result.brackets():
-        out.extend(locate(mesh, metric, spec, r_lo, r_hi, assembler=asm, tol=tol))
+        out.extend(locate(asm, r_lo, r_hi))
     return out
 
 
 def crossing_form_fd(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    conj: ConjugateRadius,
-    delta: Optional[float] = None,
-    assembler: Optional[Assembler] = None,
-    richardson: bool = True,
+    asm: Assembler, conj: ConjugateRadius, delta: Optional[float] = None
 ) -> np.ndarray:
     """Crossing form on the kernel by central differencing of H(r).
 
@@ -325,7 +304,6 @@ def crossing_form_fd(
     polynomial of degree <= 2 in r both stencils are exact and the
     audit is trivially satisfied.
     """
-    asm = assembler or Assembler(mesh, metric, spec)
     r0 = conj.r_star
     if delta is None:
         delta = 1e-4 * r0
@@ -344,16 +322,15 @@ def crossing_form_fd(
         return 0.5 * (G + G.T)
 
     G = gamma(delta)
-    if richardson:
-        G_half = gamma(0.5 * delta)
-        denom = np.linalg.norm(G_half, "fro")
-        if denom > 0.0:
-            discrepancy = np.linalg.norm(G - G_half, "fro") / denom
-            if discrepancy > 0.01:
-                raise VerificationError(
-                    f"finite-difference step audit failed at r* = {r0}: "
-                    f"delta vs delta/2 discrepancy {discrepancy:.2e}"
-                )
+    G_half = gamma(0.5 * delta)
+    denom = np.linalg.norm(G_half, "fro")
+    if denom > 0.0:
+        discrepancy = np.linalg.norm(G - G_half, "fro") / denom
+        if discrepancy > 0.01:
+            raise VerificationError(
+                f"finite-difference step audit failed at r* = {r0}: "
+                f"delta vs delta/2 discrepancy {discrepancy:.2e}"
+            )
     return G
 
 
@@ -384,25 +361,18 @@ def _boundary_quadratic_1d(asm: Assembler, r0: float, ufull: np.ndarray) -> floa
     h_right = mesh.nodes[-1, 0] - mesh.nodes[-2, 0]
     du_left = (ufull[1] - ufull[0]) / h_left
     du_right = (ufull[-1] - ufull[-2]) / h_right
-    A_right, _ = metric_mod.eval_scaled(asm.metric, r0, [1.0])
-    A_left, _ = metric_mod.eval_scaled(asm.metric, r0, [-1.0])
-    return -(du_right ** 2 * A_right[0, 0] + du_left ** 2 * A_left[0, 0]) / r0
+    A, _ = metric_mod.coefficients(asm.metric, r0 * np.array([[1.0], [-1.0]]))
+    return -(du_right ** 2 * A[0, 0, 0] + du_left ** 2 * A[1, 0, 0]) / r0
 
 
-def crossing_form_boundary(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    conj: ConjugateRadius,
-    assembler: Optional[Assembler] = None,
-) -> np.ndarray:
+def crossing_form_boundary(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
     """Crossing form by the boundary integral, independent of the fd route.
 
     In 1D the integral degenerates to the two-endpoint sum.  Off-diagonal
     entries come from the polarization identity
     Gamma(u, v) = (Gamma[u + v] - Gamma[u - v]) / 4.
     """
-    asm = assembler or Assembler(mesh, metric, spec)
+    mesh = asm.mesh
     r0 = conj.r_star
     quad = _boundary_quadratic_1d if mesh.dim == 1 else _boundary_quadratic_2d
     int_idx = np.flatnonzero(~mesh.boundary_nodes)
@@ -422,14 +392,7 @@ def crossing_form_boundary(
     return G
 
 
-def verify_crossing(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    conj: ConjugateRadius,
-    assembler: Optional[Assembler] = None,
-    delta: Optional[float] = None,
-) -> CrossingFormReport:
+def verify_crossing(asm: Assembler, conj: ConjugateRadius) -> CrossingFormReport:
     """Both crossing forms, definiteness check and the agreement figure.
 
     The fd form must be negative definite; its signature is then -m and
@@ -438,9 +401,8 @@ def verify_crossing(
     a discretization problem or a violated hypothesis and is raised,
     never patched.
     """
-    asm = assembler or Assembler(mesh, metric, spec)
-    gamma_fd = crossing_form_fd(mesh, metric, spec, conj, delta=delta, assembler=asm)
-    gamma_bd = crossing_form_boundary(mesh, metric, spec, conj, assembler=asm)
+    gamma_fd = crossing_form_fd(asm, conj)
+    gamma_bd = crossing_form_boundary(asm, conj)
     eigs = np.linalg.eigvalsh(gamma_fd)
     if np.any(eigs >= 0.0):
         raise VerificationError(
@@ -465,41 +427,31 @@ def verify_crossing(
     )
 
 
-def endpoint_kernel_gap(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    assembler: Optional[Assembler] = None,
-) -> float:
-    """|lambda| of the pencil eigenvalue of (H(1), S) nearest zero."""
-    asm = assembler or Assembler(mesh, metric, spec)
+def endpoint_kernel_gap(asm: Assembler) -> float:
+    """|lambda| of the pencil eigenvalue of (H(1), S) nearest zero.
+
+    Raises ``DegenerateRadiusOneError`` when it is below
+    KERNEL_THRESHOLD_AT_ONE: the index identity presumes no degeneracy
+    at the endpoint, and a run that violates the assumption must abort
+    rather than guess.
+    """
     form1 = asm.h(1.0)
-    return float(abs(kernel_eigenpairs(form1.H, form1.S, 1).values[0]))
+    gap = float(abs(kernel_eigenpairs(form1.H, form1.S, 1).values[0]))
+    if gap < KERNEL_THRESHOLD_AT_ONE:
+        raise DegenerateRadiusOneError(
+            f"|lambda_min(H(1), S)| = {gap:.3e} < {KERNEL_THRESHOLD_AT_ONE}"
+        )
+    return gap
 
 
 def verify_index(
-    mesh: Mesh,
-    metric: MetricModel,
-    spec: ProblemSpec,
-    conjugates: Sequence[ConjugateRadius],
-    assembler: Optional[Assembler] = None,
-    r_min: float = R_MIN_FLOOR,
-    kernel_threshold: float = KERNEL_THRESHOLD_AT_ONE,
+    asm: Assembler, conjugates: Sequence[ConjugateRadius], r_min: float = R_MIN_FLOOR
 ) -> IndexReport:
     """Morse index at r = 1 against the summed crossing multiplicities.
 
-    Refuses to proceed when H(1) carries a pencil eigenvalue below the
-    kernel threshold: the index identity presumes no degeneracy at the
-    endpoint, and a run that violates the assumption must abort rather
-    than guess.
+    Refuses to proceed when ``endpoint_kernel_gap`` finds H(1) degenerate.
     """
-    asm = assembler or Assembler(mesh, metric, spec)
-    gap = endpoint_kernel_gap(mesh, metric, spec, assembler=asm)
-    if gap < kernel_threshold:
-        raise DegenerateRadiusOneError(
-            f"degenerate endpoint: |lambda_min(H(1), S)| = {gap:.3e} "
-            f"< {kernel_threshold}"
-        )
+    endpoint_kernel_gap(asm)
     n_neg = _n_neg_evaluator(asm)
     mu = n_neg(1.0)
     n_small = n_neg(r_min)

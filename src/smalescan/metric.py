@@ -32,8 +32,6 @@ __all__ = [
     "euclidean",
     "constant_curvature",
     "callback_metric",
-    "eval_coefficients",
-    "eval_scaled",
     "coefficients",
     "weights",
 ]
@@ -140,7 +138,7 @@ def _inv_sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
     return np.where(t < SERIES_CUTOFF, series, closed)
 
 
-def _checked_points(model: MetricModel, points, closed_ball: bool):
+def _checked_points(model: MetricModel, points):
     """Points as an (m, n) float array and their norms, after the checks
     shared by ``weights`` and ``coefficients``."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
@@ -148,8 +146,7 @@ def _checked_points(model: MetricModel, points, closed_ball: bool):
     if n != model.dim:
         raise ValueError(f"points have dimension {n}, metric has {model.dim}")
     t = np.linalg.norm(P, axis=1)
-    lim = 1.0 + 1e-12 if closed_ball else 1.0 - 1e-15
-    if np.any(t > lim):
+    if np.any(t > 1.0 + 1e-12):
         raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.max())
     return P, t
 
@@ -172,28 +169,26 @@ def weights(model: MetricModel, points: np.ndarray) -> np.ndarray:
     they skip building A.  Same checks and errors as ``coefficients`` on
     the closed unit ball; returns an array of shape (m,).
     """
-    return _weights(model, *_checked_points(model, points, True))
+    return _weights(model, *_checked_points(model, points))
 
 
-def coefficients(model: MetricModel, points: np.ndarray, closed_ball: bool = True):
+def coefficients(model: MetricModel, points: np.ndarray):
     """Batched (A, w) at an array of points.
 
     Parameters
     ----------
     model : MetricModel
     points : ndarray, shape (m, n)
-        Evaluation points.  Must satisfy |x| <= 1 (with ``closed_ball``)
-        or |x| < 1 (without).
-    closed_ball : bool
-        Allow |x| = 1 (limit from the inside); assembly evaluates scaled
-        points r*x which may land on the closed unit sphere at r = 1.
+        Evaluation points on the closed unit ball, |x| <= 1: assembly
+        evaluates scaled points r*x, which land on the unit sphere at
+        r = 1, where the closed forms extend continuously.
 
     Returns
     -------
     A : ndarray, shape (m, n, n)
     w : ndarray, shape (m,), the same values as ``weights``
     """
-    P, t = _checked_points(model, points, closed_ball)
+    P, t = _checked_points(model, points)
     m, n = P.shape
     w = _weights(model, P, t)
 
@@ -217,27 +212,3 @@ def coefficients(model: MetricModel, points: np.ndarray, closed_ball: bool = Tru
     if np.any(at_center):
         A[at_center] = np.eye(n)
     return A, w
-
-
-def eval_coefficients(model: MetricModel, x):
-    """(A(x), w(x)) at a single point strictly inside the unit ball."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if np.linalg.norm(x) >= 1.0:
-        raise ValueError("eval_coefficients requires |x| < 1")
-    A, w = coefficients(model, x, closed_ball=False)
-    return A[0], float(w[0])
-
-
-def eval_scaled(model: MetricModel, r: float, x):
-    """(A(r*x), w(r*x)) for 0 <= r <= 1 and |x| <= 1.
-
-    The product r*|x| = 1 is allowed; the closed forms extend
-    continuously to the closed ball.  At r = 0 this is (I, 1).
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"scale parameter r = {r} outside [0, 1]")
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if np.linalg.norm(x) > 1.0 + 1e-12:
-        raise ValueError("eval_scaled requires |x| <= 1")
-    A, w = coefficients(model, r * x, closed_ball=True)
-    return A[0], float(w[0])

@@ -26,10 +26,6 @@ __all__ = [
     "linear_problem",
     "cubic_problem",
     "parse_field",
-    "eval_f",
-    "eval_V",
-    "eval_G",
-    "eval_dV",
 ]
 
 LINEAR = "linear"
@@ -81,34 +77,6 @@ def linear_problem(f) -> ProblemSpec:
 
 def cubic_problem(f, b: float) -> ProblemSpec:
     return ProblemSpec(f, CUBIC, float(b))
-
-
-def _scaled_point(r: float, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    y = r * x
-    if np.linalg.norm(y) > 1.0 + 1e-12:
-        raise ValueError("scaled point r*x outside the closed unit ball")
-    return y
-
-
-def eval_f(spec: ProblemSpec, r: float, x) -> float:
-    """f(r*x) at a single point."""
-    return float(spec.f_values(_scaled_point(r, x))[0])
-
-
-def eval_V(spec: ProblemSpec, r: float, x, xi: float) -> float:
-    y = _scaled_point(r, x)
-    return float(spec.v_values(spec.f_values(y), np.asarray([xi], dtype=float))[0])
-
-
-def eval_G(spec: ProblemSpec, r: float, x, xi: float) -> float:
-    y = _scaled_point(r, x)
-    return float(spec.g_values(spec.f_values(y), np.asarray([xi], dtype=float))[0])
-
-
-def eval_dV(spec: ProblemSpec, r: float, x, xi: float) -> float:
-    y = _scaled_point(r, x)
-    return float(spec.dv_values(spec.f_values(y), np.asarray([xi], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "inertia",
     "smallest_eigenpairs",
     "kernel_eigenpairs",
-    "pair_residuals",
 ]
 
 DEFAULT_PIVOT_TOL = 1e-9
@@ -175,17 +174,6 @@ def inertia(
         raise FactorizationError("non-finite pivots in factorization")
     n_neg, n_zero, n_pos = _classify(pivots, scale, pivot_tolerance, strict)
     return Inertia(n_neg, n_zero, n_pos, pivot_tolerance)
-
-
-def pair_residuals(H, S, values, vectors) -> np.ndarray:
-    """Relative residuals ||H v - lambda S v|| / (||H||_inf ||v||)."""
-    Hnorm = spla.norm(H, np.inf) if sp.issparse(H) else np.linalg.norm(H, np.inf)
-    out = np.empty(len(values))
-    for j, lam in enumerate(values):
-        v = vectors[:, j]
-        res = H @ v - lam * (S @ v)
-        out[j] = np.linalg.norm(res) / (Hnorm * np.linalg.norm(v) + 1e-300)
-    return out
 
 
 def smallest_eigenpairs(H, S, k: int) -> EigenPairs:

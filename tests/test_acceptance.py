@@ -41,9 +41,9 @@ def osc_pipeline():
     spec = problem.linear_problem(-C_OSC)
     asm = Assembler(mesh, met, spec)
     t0 = time.perf_counter()
-    sc = conjugate.scan(mesh, met, spec, np.linspace(1e-3, 1.0, 200), assembler=asm)
-    conjs = conjugate.find_conjugate_radii(mesh, met, spec, sc, assembler=asm)
-    report = conjugate.verify_index(mesh, met, spec, conjs, assembler=asm)
+    sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 200))
+    conjs = conjugate.find_conjugate_radii(asm, sc)
+    report = conjugate.verify_index(asm, conjs)
     elapsed = time.perf_counter() - t0
     return dict(mesh=mesh, met=met, spec=spec, asm=asm, scan=sc,
                 conjs=conjs, report=report, elapsed=elapsed)
@@ -57,9 +57,9 @@ def disc_pipeline():
     spec = problem.linear_problem(-36.0)
     asm = Assembler(mesh, met, spec)
     t0 = time.perf_counter()
-    sc = conjugate.scan(mesh, met, spec, np.linspace(1e-3, 1.0, 200), assembler=asm)
-    conjs = conjugate.find_conjugate_radii(mesh, met, spec, sc, assembler=asm)
-    report = conjugate.verify_index(mesh, met, spec, conjs, assembler=asm)
+    sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 200))
+    conjs = conjugate.find_conjugate_radii(asm, sc)
+    report = conjugate.verify_index(asm, conjs)
     elapsed = time.perf_counter() - t0
     return dict(mesh=mesh, met=met, spec=spec, asm=asm, scan=sc,
                 conjs=conjs, report=report, elapsed=elapsed)
@@ -102,9 +102,9 @@ def sphere_pipeline():
     met = metric.constant_curvature(2, 1.0)
     spec = problem.linear_problem(-36.0)
     asm = Assembler(mesh, met, spec)
-    sc = conjugate.scan(mesh, met, spec, np.linspace(1e-3, 1.0, 200), assembler=asm)
-    conjs = conjugate.find_conjugate_radii(mesh, met, spec, sc, assembler=asm)
-    report = conjugate.verify_index(mesh, met, spec, conjs, assembler=asm)
+    sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 200))
+    conjs = conjugate.find_conjugate_radii(asm, sc)
+    report = conjugate.verify_index(asm, conjs)
     return dict(mesh=mesh, met=met, spec=spec, asm=asm, scan=sc,
                 conjs=conjs, report=report, oracle=oracle)
 
@@ -154,7 +154,7 @@ def test_criterion_3_crossing_form_agreement(osc_pipeline, disc_pipeline):
     mesh, met, spec, asm = p["mesh"], p["met"], p["spec"], p["asm"]
     mass = Assembler(mesh, met, problem.linear_problem(1.0)).h(1.0).H - asm.gram()
     for k, cj in enumerate(p["conjs"], start=1):
-        rep = conjugate.verify_crossing(mesh, met, spec, cj, assembler=asm)
+        rep = conjugate.verify_crossing(asm, cj)
         assert rep.agreement <= 0.01
         assert np.all(np.linalg.eigvalsh(rep.gamma_fd) < 0.0)
         assert abs(rep.signature) == cj.multiplicity
@@ -167,8 +167,7 @@ def test_criterion_3_crossing_form_agreement(osc_pipeline, disc_pipeline):
     # 2D: agreement <= 10%, negative definite, |signature| = m
     q = disc_pipeline
     for cj in q["conjs"]:
-        rep = conjugate.verify_crossing(q["mesh"], q["met"], q["spec"], cj,
-                                        assembler=q["asm"])
+        rep = conjugate.verify_crossing(q["asm"], cj)
         assert rep.agreement <= 0.10
         assert np.all(np.linalg.eigvalsh(rep.gamma_fd) < 0.0)
         assert abs(rep.signature) == cj.multiplicity
@@ -200,9 +199,8 @@ def test_criterion_5_bifurcation_witness(osc_pipeline):
     for cj in p["conjs"]:
         confirmed = []
         for direction in (+1, -1):
-            tr = branch.trace_branch(mesh, met, spec, cj.r_star,
-                                     cj.kernel_basis[:, 0], direction,
-                                     100, step, assembler=asm)
+            tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0],
+                                     direction, 100, step)
             if tr.confirmed:
                 confirmed.append(tr)
         assert confirmed, f"no confirmed branch at r* = {cj.r_star}"
@@ -215,7 +213,7 @@ def test_criterion_5_bifurcation_witness(osc_pipeline):
         assert 0.45 <= slope <= 0.55
     for r in (0.5, 0.3):
         clean, samples = branch.multistart_no_small_solutions(
-            mesh, met, spec, r, n_seeds=20, seed_norm=1e-2, assembler=asm)
+            asm, r, n_seeds=20, seed_norm=1e-2)
         assert clean
         assert len(samples) == 20
     _announce(5, "bifurcation witness")

@@ -17,8 +17,8 @@ def osc_cubic():
     asm = Assembler(mesh, met, spec)
     lin = problem.linear_problem(-C_OSC)
     asm_lin = Assembler(mesh, met, lin)
-    cj = conjugate.locate(mesh, met, lin, 0.20, 0.23, assembler=asm_lin)[0]
-    return mesh, met, spec, asm, cj
+    cj = conjugate.locate(asm_lin, 0.20, 0.23)[0]
+    return asm, cj
 
 
 def shooting_solution(r, c=C_OSC):
@@ -46,9 +46,8 @@ def shooting_solution(r, c=C_OSC):
 
 class TestNewton:
     def test_zero_start_is_exact_root(self, osc_cubic):
-        mesh, met, spec, asm, _ = osc_cubic
-        s = branch.newton_solve(mesh, met, spec, 0.5, np.zeros(mesh.n_interior),
-                                assembler=asm)
+        asm = osc_cubic[0]
+        s = branch.newton_solve(asm, 0.5, np.zeros(asm.mesh.n_interior))
         assert s.converged
         assert s.newton_iters == 0
         assert s.residual_norm == 0.0
@@ -61,42 +60,41 @@ class TestNewton:
         asm = Assembler(mesh, met, spec)
         rng = np.random.default_rng(0)
         u0 = 1e-3 * rng.standard_normal(mesh.n_interior)
-        s = branch.newton_solve(mesh, met, spec, 0.5, u0, assembler=asm)
+        s = branch.newton_solve(asm, 0.5, u0)
         assert s.converged
         assert s.h1_norm <= 1e-10
 
     def test_converged_residual_bound(self, osc_cubic):
-        mesh, met, spec, asm, cj = osc_cubic
+        asm, cj = osc_cubic
         phi = cj.kernel_basis[:, 0]
-        s = branch.newton_solve(mesh, met, spec, 0.24, 5.5 * phi, assembler=asm)
+        s = branch.newton_solve(asm, 0.24, 5.5 * phi)
         assert s.converged
         h_scale = abs(asm.h(0.24).H).max()
         assert s.residual_norm <= 1e-10 * (1.0 + h_scale)
 
     def test_nontrivial_solution_matches_shooting_oracle(self, osc_cubic):
-        mesh, met, spec, asm, cj = osc_cubic
+        asm, cj = osc_cubic
         phi = cj.kernel_basis[:, 0]
         # seed at the pitchfork amplitude; 0.3*phi sits inside the
         # trivial basin for this problem and must collapse to zero
-        s = branch.newton_solve(mesh, met, spec, 0.24, 5.5 * phi, assembler=asm)
+        s = branch.newton_solve(asm, 0.24, 5.5 * phi)
         assert s.converged and s.h1_norm > 1e-3
         a_star, h1_star = shooting_solution(0.24)
         assert np.abs(s.u).max() == pytest.approx(a_star, rel=2e-4)
         assert s.h1_norm == pytest.approx(h1_star, rel=2e-4)
 
     def test_small_seed_falls_into_trivial_basin(self, osc_cubic):
-        mesh, met, spec, asm, cj = osc_cubic
+        asm, cj = osc_cubic
         phi = cj.kernel_basis[:, 0]
-        s = branch.newton_solve(mesh, met, spec, 0.24, 0.3 * phi, assembler=asm)
+        s = branch.newton_solve(asm, 0.24, 0.3 * phi)
         assert s.converged
         assert s.h1_norm <= 1e-8
 
 
 class TestTraceBranch:
     def test_supercritical_branch_confirmed(self, osc_cubic):
-        mesh, met, spec, asm, cj = osc_cubic
-        tr = branch.trace_branch(mesh, met, spec, cj.r_star, cj.kernel_basis[:, 0],
-                                 +1, 100, 1e-3, assembler=asm)
+        asm, cj = osc_cubic
+        tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], +1, 100, 1e-3)
         assert tr.confirmed
         assert len(tr.samples) == 100
         assert all(s.h1_norm > 0 for s in tr.samples)
@@ -108,9 +106,8 @@ class TestTraceBranch:
         # Oracle-frozen slope over r - r* in [1e-3, 1e-1]: the continuum
         # value is 0.4295 (finite-amplitude bending), which the trace
         # must reproduce; the asymptotic decade shows the pitchfork 1/2.
-        mesh, met, spec, asm, cj = osc_cubic
-        tr = branch.trace_branch(mesh, met, spec, cj.r_star, cj.kernel_basis[:, 0],
-                                 +1, 100, 1e-3, assembler=asm)
+        asm, cj = osc_cubic
+        tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], +1, 100, 1e-3)
         slope_full = branch.amplitude_exponent(tr, (1e-3, 1e-1))
         deltas = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
         h1_oracle = np.array([shooting_solution(cj.r_star + d)[1] for d in deltas])
@@ -125,9 +122,8 @@ class TestTraceBranch:
         assert 0.45 <= slope_asym <= 0.55
 
     def test_subcritical_side_reports_one_sided_failure(self, osc_cubic):
-        mesh, met, spec, asm, cj = osc_cubic
-        tr = branch.trace_branch(mesh, met, spec, cj.r_star, cj.kernel_basis[:, 0],
-                                 -1, 20, 1e-3, assembler=asm)
+        asm, cj = osc_cubic
+        tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], -1, 20, 1e-3)
         assert not tr.confirmed
         assert tr.failure is not None
 
@@ -136,27 +132,23 @@ class TestTraceBranch:
         met = metric.euclidean(1)
         lin = problem.linear_problem(-C_OSC)
         asm = Assembler(mesh, met, lin)
-        cj = conjugate.locate(mesh, met, lin, 0.20, 0.23, assembler=asm)[0]
-        tr = branch.trace_branch(mesh, met, lin, cj.r_star, cj.kernel_basis[:, 0],
-                                 +1, 10, 1e-3, assembler=asm)
+        cj = conjugate.locate(asm, 0.20, 0.23)[0]
+        tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], +1, 10, 1e-3)
         assert not tr.confirmed  # off the crossing the secant collapses to 0
 
     def test_rejects_bad_arguments(self, osc_cubic):
-        mesh, met, spec, asm, cj = osc_cubic
+        asm, cj = osc_cubic
         with pytest.raises(ValueError):
-            branch.trace_branch(mesh, met, spec, cj.r_star, cj.kernel_basis[:, 0],
-                                0, 10, 1e-3, assembler=asm)
+            branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], 0, 10, 1e-3)
         with pytest.raises(ValueError):
-            branch.trace_branch(mesh, met, spec, cj.r_star, cj.kernel_basis[:, 0],
-                                1, 1, 1e-3, assembler=asm)
+            branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], 1, 1, 1e-3)
 
 
 class TestMultistart:
     def test_no_small_solutions_off_crossing(self, osc_cubic):
-        mesh, met, spec, asm, _ = osc_cubic
+        asm = osc_cubic[0]
         for r in (0.5, 0.3):
-            clean, samples = branch.multistart_no_small_solutions(
-                mesh, met, spec, r, assembler=asm)
+            clean, samples = branch.multistart_no_small_solutions(asm, r)
             assert clean
             assert len(samples) == 20
             for s in samples:
@@ -164,9 +156,7 @@ class TestMultistart:
                     assert s.h1_norm <= 1e-8 or s.h1_norm > 1e-2
 
     def test_deterministic(self, osc_cubic):
-        mesh, met, spec, asm, _ = osc_cubic
-        _, a = branch.multistart_no_small_solutions(mesh, met, spec, 0.5,
-                                                    n_seeds=5, assembler=asm)
-        _, b = branch.multistart_no_small_solutions(mesh, met, spec, 0.5,
-                                                    n_seeds=5, assembler=asm)
+        asm = osc_cubic[0]
+        _, a = branch.multistart_no_small_solutions(asm, 0.5, n_seeds=5)
+        _, b = branch.multistart_no_small_solutions(asm, 0.5, n_seeds=5)
         assert all(x.h1_norm == y.h1_norm for x, y in zip(a, b))

@@ -210,3 +210,20 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "index_report.txt").read_text().startswith("mu=4 sum_m=4 PASS")
+
+    def test_zero_threads_exits_1(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.main(["scan", "--config", str(config_file), "--out", str(out),
+                         "--threads", "0"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (out / "scan.csv").exists()
+
+    def test_non_integer_threads_env_exits_1(self, config_file, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setenv(cli.THREADS_ENV, "two")
+        out = tmp_path / "o"
+        code = cli.main(["scan", "--config", str(config_file), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (out / "scan.csv").exists()

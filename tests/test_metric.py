@@ -6,23 +6,23 @@ from smalescan import metric
 
 def test_euclidean_identity():
     m = metric.euclidean(2)
-    A, w = metric.eval_coefficients(m, [0.3, 0.4])
-    assert np.array_equal(A, np.eye(2))
-    assert w == 1.0
+    A, w = metric.coefficients(m, [[0.3, 0.4]])
+    assert np.array_equal(A[0], np.eye(2))
+    assert w[0] == 1.0
 
 
 def test_zero_curvature_collapses_to_flat():
     m = metric.constant_curvature(3, 0.0)
-    A, w = metric.eval_coefficients(m, [0.2, -0.1, 0.4])
-    assert np.allclose(A, np.eye(3), atol=0.0)
-    assert w == 1.0
+    A, w = metric.coefficients(m, [[0.2, -0.1, 0.4]])
+    assert np.allclose(A[0], np.eye(3), atol=0.0)
+    assert w[0] == 1.0
 
 
 def test_sphere_values_at_half_radius():
     # kappa = 1, n = 2 at x = (0.5, 0): w = sin(0.5)/0.5, tangential
     # entry t/sin(t), radial entry w.
     m = metric.constant_curvature(2, 1.0)
-    A, w = metric.eval_coefficients(m, [0.5, 0.0])
+    (A,), (w,) = metric.coefficients(m, [[0.5, 0.0]])
     w_exact = np.sin(0.5) / 0.5
     assert w == pytest.approx(w_exact, rel=1e-15)
     assert A[0, 0] == pytest.approx(w_exact, rel=1e-14)          # radial
@@ -35,41 +35,39 @@ def test_sphere_values_at_half_radius():
 
 def test_scaled_matches_composition():
     m = metric.constant_curvature(2, 1.0)
-    A1, w1 = metric.eval_scaled(m, 0.5, [1.0, 0.0])
-    A2, w2 = metric.eval_coefficients(m, [0.5, 0.0])
+    A1, w1 = metric.coefficients(m, 0.5 * np.array([[1.0, 0.0]]))
+    A2, w2 = metric.coefficients(m, [[0.5, 0.0]])
     assert np.allclose(A1, A2, atol=0.0)
-    assert w1 == w2
+    assert np.array_equal(w1, w2)
 
 
 def test_scaled_euclidean_is_identity_everywhere():
     m = metric.euclidean(1)
-    A, w = metric.eval_scaled(m, 0.7, [1.0])
-    assert np.array_equal(A, np.eye(1))
-    assert w == 1.0
+    A, w = metric.coefficients(m, 0.7 * np.array([[1.0]]))
+    assert np.array_equal(A[0], np.eye(1))
+    assert w[0] == 1.0
 
 
 def test_scaled_at_zero_is_identity():
     for m in (metric.euclidean(2), metric.constant_curvature(2, 1.0),
               metric.constant_curvature(2, -2.0)):
-        A, w = metric.eval_scaled(m, 0.0, [0.77, -0.6])
-        assert np.array_equal(A, np.eye(2))
-        assert w == 1.0
+        A, w = metric.coefficients(m, 0.0 * np.array([[0.77, -0.6]]))
+        assert np.array_equal(A[0], np.eye(2))
+        assert w[0] == 1.0
 
 
 def test_scaled_allows_closed_ball():
     m = metric.constant_curvature(2, 1.0)
-    A, w = metric.eval_scaled(m, 1.0, [1.0, 0.0])
-    assert w == pytest.approx(np.sin(1.0), rel=1e-14)
+    A, w = metric.coefficients(m, 1.0 * np.array([[1.0, 0.0]]))
+    assert w[0] == pytest.approx(np.sin(1.0), rel=1e-14)
 
 
 def test_domain_errors():
     m = metric.constant_curvature(2, 1.0)
     with pytest.raises(ValueError):
-        metric.eval_coefficients(m, [1.0, 0.0])
+        metric.coefficients(m, [[1.2, 0.0]])
     with pytest.raises(ValueError):
-        metric.eval_coefficients(m, [1.2, 0.0])
-    with pytest.raises(ValueError):
-        metric.eval_scaled(m, 1.0, [1.1, 0.0])
+        metric.coefficients(m, 1.0 * np.array([[1.1, 0.0]]))
     with pytest.raises(ValueError):
         metric.constant_curvature(2, np.pi ** 2)
     with pytest.raises(ValueError):
@@ -97,7 +95,7 @@ def test_series_matches_closed_form_near_center():
     t = 0.9999e-4
     for kappa in (1.0, -2.0, 5.0):
         m = metric.constant_curvature(2, kappa)
-        A, w = metric.eval_coefficients(m, [t, 0.0])
+        (A,), (w,) = metric.coefficients(m, [[t, 0.0]])
         sk = np.sqrt(abs(kappa))
         if kappa > 0:
             ratio = np.sin(sk * t) / (sk * t)
@@ -116,8 +114,8 @@ def test_rotational_equivariance():
         Q = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
         x = rng.uniform(-0.6, 0.6, 2)
-        A_x, w_x = metric.eval_coefficients(m, x)
-        A_qx, w_qx = metric.eval_coefficients(m, Q @ x)
+        (A_x,), (w_x,) = metric.coefficients(m, [x])
+        (A_qx,), (w_qx,) = metric.coefficients(m, [Q @ x])
         assert np.allclose(A_qx, Q @ A_x @ Q.T, atol=1e-14)
         assert w_qx == pytest.approx(w_x, rel=1e-14)
 
@@ -130,16 +128,16 @@ def test_callback_metric_passthrough():
         return np.full(P.shape[0], 3.0)
 
     m = metric.callback_metric(2, a_fn, w_fn)
-    A, w = metric.eval_coefficients(m, [0.1, 0.2])
-    assert np.allclose(A, 2.0 * np.eye(2))
-    assert w == 3.0
+    A, w = metric.coefficients(m, [[0.1, 0.2]])
+    assert np.allclose(A[0], 2.0 * np.eye(2))
+    assert w[0] == 3.0
 
 
 def test_one_dimensional_space_forms_are_flat():
     m = metric.constant_curvature(1, 1.0)
-    A, w = metric.eval_coefficients(m, [0.7])
-    assert A[0, 0] == pytest.approx(1.0, rel=1e-15)
-    assert w == pytest.approx(1.0, rel=1e-15)
+    A, w = metric.coefficients(m, [[0.7]])
+    assert A[0, 0, 0] == pytest.approx(1.0, rel=1e-15)
+    assert w[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def _callback_model():

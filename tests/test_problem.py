@@ -6,34 +6,38 @@ from smalescan import problem
 
 def test_constant_potential_eval():
     spec = problem.linear_problem(-52.379)
-    assert problem.eval_f(spec, 0.5, [0.2, 0.1]) == -52.379
+    assert spec.f_values(0.5 * np.array([[0.2, 0.1]]))[0] == -52.379
 
 
 def test_coordinate_potential_eval():
     spec = problem.linear_problem(problem.parse_field("x1", dim=2))
-    assert problem.eval_f(spec, 0.5, [1.0, 0.0]) == pytest.approx(0.5)
+    assert spec.f_values(0.5 * np.array([[1.0, 0.0]]))[0] == pytest.approx(0.5)
 
 
 def test_zero_potential():
     spec = problem.linear_problem(0.0)
-    assert problem.eval_f(spec, 0.9, [0.3, -0.2]) == 0.0
+    assert spec.f_values(0.9 * np.array([[0.3, -0.2]]))[0] == 0.0
 
 
 def test_cubic_algebraic_identity():
     spec = problem.cubic_problem(-4.0, 1.0)
-    assert problem.eval_V(spec, 0.1, [0.0, 0.0], 2.0) == pytest.approx(0.0)
+    fvals = spec.f_values(0.1 * np.array([[0.0, 0.0]]))
+    assert spec.v_values(fvals, np.array([2.0]))[0] == pytest.approx(0.0)
 
 
 def test_values_at_zero():
     for spec in (problem.linear_problem(-3.0), problem.cubic_problem(-3.0, 2.0)):
-        assert problem.eval_V(spec, 0.4, [0.1, 0.1], 0.0) == 0.0
-        assert problem.eval_G(spec, 0.4, [0.1, 0.1], 0.0) == 0.0
-        assert problem.eval_dV(spec, 0.4, [0.1, 0.1], 0.0) == -3.0
+        fvals = spec.f_values(0.4 * np.array([[0.1, 0.1]]))
+        xi = np.array([0.0])
+        assert spec.v_values(fvals, xi)[0] == 0.0
+        assert spec.g_values(fvals, xi)[0] == 0.0
+        assert spec.dv_values(fvals, xi)[0] == -3.0
 
 
 def test_cubic_arithmetic():
     spec = problem.cubic_problem(-52.379, 1.0)
-    assert problem.eval_V(spec, 0.0, [0.0], 0.1) == pytest.approx(-5.2369, abs=1e-12)
+    fvals = spec.f_values(0.0 * np.array([[0.0]]))
+    assert spec.v_values(fvals, np.array([0.1]))[0] == pytest.approx(-5.2369, abs=1e-12)
 
 
 def test_fd_derivative_of_V_is_f():
@@ -44,8 +48,10 @@ def test_fd_derivative_of_V_is_f():
     eps = 1e-6
     for _ in range(20):
         y = rng.uniform(-0.5, 0.5, 2)
-        fd = (problem.eval_V(spec, 1.0, y, eps) - problem.eval_V(spec, 1.0, y, -eps)) / (2 * eps)
-        assert fd == pytest.approx(problem.eval_f(spec, 1.0, y), rel=1e-6)
+        fvals = spec.f_values(1.0 * y[None, :])
+        V = spec.v_values(fvals, np.array([eps, -eps]))
+        fd = (V[0] - V[1]) / (2 * eps)
+        assert fd == pytest.approx(fvals[0], rel=1e-6)
 
 
 def test_dv_matches_fd_of_V():
@@ -55,8 +61,11 @@ def test_dv_matches_fd_of_V():
     for _ in range(30):
         y = rng.uniform(-0.5, 0.5, 2)
         xi = rng.uniform(-2.0, 2.0)
-        fd = (problem.eval_V(spec, 0.8, y, xi + h) - problem.eval_V(spec, 0.8, y, xi - h)) / (2 * h)
-        assert fd == pytest.approx(problem.eval_dV(spec, 0.8, y, xi), rel=1e-8, abs=1e-10)
+        fvals = spec.f_values(0.8 * y[None, :])
+        V = spec.v_values(fvals, np.array([xi + h, xi - h]))
+        fd = (V[0] - V[1]) / (2 * h)
+        dv = spec.dv_values(fvals, np.array([xi]))[0]
+        assert fd == pytest.approx(dv, rel=1e-8, abs=1e-10)
 
 
 def test_g_prime_is_V():
@@ -66,8 +75,11 @@ def test_g_prime_is_V():
     for _ in range(30):
         y = rng.uniform(-0.5, 0.5, 2)
         xi = rng.uniform(-2.0, 2.0)
-        fd = (problem.eval_G(spec, 0.8, y, xi + h) - problem.eval_G(spec, 0.8, y, xi - h)) / (2 * h)
-        assert fd == pytest.approx(problem.eval_V(spec, 0.8, y, xi), rel=1e-8, abs=1e-10)
+        fvals = spec.f_values(0.8 * y[None, :])
+        G = spec.g_values(fvals, np.array([xi + h, xi - h]))
+        fd = (G[0] - G[1]) / (2 * h)
+        v = spec.v_values(fvals, np.array([xi]))[0]
+        assert fd == pytest.approx(v, rel=1e-8, abs=1e-10)
 
 
 class TestFieldGrammar:
