@@ -10,7 +10,7 @@ solutions at the located radii.
 from .metric import MetricModel, callback_metric, constant_curvature, euclidean
 from .problem import ProblemSpec, cubic_problem, linear_problem, parse_field
 from .fem import Assembler, AssembledForm, Mesh, build_mesh
-from .spectral import EigenPairs, Inertia, inertia, kernel_eigenpairs, smallest_eigenpairs
+from .spectral import EigenPairs, inertia, kernel_eigenpairs, smallest_eigenpairs
 from .conjugate import (
     ConjugateRadius,
     CrossingFormReport,
@@ -21,7 +21,6 @@ from .conjugate import (
     crossing_form_boundary,
     crossing_form_fd,
     find_conjugate_radii,
-    locate,
     scan,
     verify_crossing,
     verify_index,

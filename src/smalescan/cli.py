@@ -71,7 +71,6 @@ _SCHEMA = {
     "mesh.dump": (_to_bool, False),
     "scan.r_min": (float, 1e-3),
     "scan.grid_points": (int, conj_mod.DEFAULT_GRID_POINTS),
-    "scan.k_eigs": (int, 0),
     "branch.steps": (int, 50),
     "branch.step_size": (float, 1e-3),
     "output.dir": (str, "out"),
@@ -91,7 +90,6 @@ class RunConfig:
     mesh_dump: bool
     scan_r_min: float
     scan_grid_points: int
-    scan_k_eigs: int
     branch_steps: int
     branch_step_size: float
     output_dir: str
@@ -156,8 +154,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError("scan.r_min must be < 1")
     if cfg.scan_grid_points < 2:
         raise ConfigError("scan.grid_points must be >= 2")
-    if cfg.scan_k_eigs < 0:
-        raise ConfigError("scan.k_eigs must be >= 0")
     if cfg.branch_steps < 2:
         raise ConfigError("branch.steps must be >= 2")
     if cfg.branch_step_size <= 0.0:
@@ -218,9 +214,7 @@ class Pipeline:
     def scan(self) -> conj_mod.ScanResult:
         if self._scan is None:
             grid = np.linspace(self.cfg.scan_r_min, 1.0, self.cfg.scan_grid_points)
-            self._scan = conj_mod.scan(
-                self.assembler, grid, k=self.cfg.scan_k_eigs, threads=self.threads
-            )
+            self._scan = conj_mod.scan(self.assembler, grid, threads=self.threads)
         return self._scan
 
     def conjugates(self) -> List[conj_mod.ConjugateRadius]:
@@ -268,16 +262,7 @@ class Pipeline:
 
     def write_scan(self):
         sc = self.scan()
-        k = self.cfg.scan_k_eigs
-        header = ["r"] + [f"lambda_{j + 1}" for j in range(k)] + ["n_neg"]
-        rows = []
-        for i in range(len(sc.r)):
-            row = [sc.r[i]]
-            if k > 0:
-                row.extend(sc.eigenvalues[i])
-            row.append(int(sc.n_neg[i]))
-            rows.append(row)
-        _write_csv(self.out / "scan.csv", header, rows)
+        _write_csv(self.out / "scan.csv", ["r", "n_neg"], zip(sc.r, sc.n_neg))
 
     def write_conjugates(self):
         rows = [

@@ -3,8 +3,10 @@
 A conjugate radius is a parameter r* where the discrete form H(r)
 becomes degenerate.  Since the crossing form is negative definite,
 eigenvalue branches cross zero transversally downward, so the negative
-count n_neg(H(r)) is a nondecreasing step function of r and every
-crossing is located by bisection on that integer.
+count n_neg(H(r)) is a nondecreasing step function of r.  The count has
+one definition, ``_n_neg_evaluator``: the scan evaluates it once per
+grid point and checks that it rises, and bisection starts from the
+scan's counts at the ends of every rising grid cell.
 
 The crossing form on the kernel at r* is computed two independent
 ways: as the central difference of the assembled bilinear form in r
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import metric as metric_mod
 from .fem import Assembler
-from .spectral import FactorizationError, inertia, kernel_eigenpairs, smallest_eigenpairs
+from .spectral import FactorizationError, inertia, kernel_eigenpairs
 
 __all__ = [
     "ScanResult",
@@ -46,7 +48,6 @@ __all__ = [
     "VerificationError",
     "DegenerateRadiusOneError",
     "scan",
-    "locate",
     "find_conjugate_radii",
     "crossing_form_fd",
     "crossing_form_boundary",
@@ -72,20 +73,19 @@ class DegenerateRadiusOneError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Per-radius smallest pencil eigenvalues and negative counts."""
+    """Negative counts over an ascending radius grid."""
 
     r: np.ndarray
     n_neg: np.ndarray
-    eigenvalues: Optional[np.ndarray]  # (len(r), k) or None when k = 0
 
-    def brackets(self) -> List[Tuple[float, float, int]]:
-        """Consecutive grid intervals across which n_neg jumps."""
-        out = []
-        for i in range(len(self.r) - 1):
-            jump = int(self.n_neg[i + 1] - self.n_neg[i])
-            if jump != 0:
-                out.append((float(self.r[i]), float(self.r[i + 1]), jump))
-        return out
+    def brackets(self) -> List[Tuple[float, int, float, int]]:
+        """(r_lo, n_lo, r_hi, n_hi) of every grid cell where n_neg rises."""
+        return [
+            (float(self.r[i]), int(self.n_neg[i]),
+             float(self.r[i + 1]), int(self.n_neg[i + 1]))
+            for i in range(len(self.r) - 1)
+            if self.n_neg[i + 1] > self.n_neg[i]
+        ]
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def _n_neg_evaluator(asm: Assembler):
         for attempt in range(4):
             try:
                 form = asm.h(r + shift if r + shift <= 1.0 else r - shift)
-                return inertia(form.H, strict=True).n_neg
+                return inertia(form.H)
             except FactorizationError:
                 shift = (attempt + 1) * 1e-9 * (1.0 + r)
         raise FactorizationError(f"inertia evaluation failed near r = {r}")
@@ -147,22 +147,20 @@ def _check_rise(r_a: float, n_a: int, r_b: float, n_b: int):
     """Raise unless n_neg(r_a) <= n_neg(r_b) for r_a < r_b."""
     if n_b < n_a:
         raise VerificationError(
-            f"negative count drops from {n_a} at r = {r_a!r} to {n_b} at "
-            f"r = {r_b!r}; n_neg(H(r)) must be nondecreasing"
+            f"negative count drops from {n_a} at r = {float(r_a)!r} to {n_b} at "
+            f"r = {float(r_b)!r}; n_neg(H(r)) must be nondecreasing"
         )
 
 
-def scan(
-    asm: Assembler, r_grid: Sequence[float], k: int = 0, threads: int = 1
-) -> ScanResult:
-    """Negative counts (and optionally k smallest eigenvalues) over a grid.
+def scan(asm: Assembler, r_grid: Sequence[float], threads: int = 1) -> ScanResult:
+    """Negative counts over a grid, checked to rise from point to point.
 
-    Counts come from the same evaluator as bisection.  The grid must be
-    ascending inside [R_MIN_FLOOR, 1]; the lower cutoff excludes the
-    degenerate limit r -> 0 where the ball collapses.
+    The grid must be ascending inside [R_MIN_FLOOR, 1]; the lower cutoff
+    excludes the degenerate limit r -> 0 where the ball collapses.
     Grid points are independent; with ``threads > 1`` they are evaluated
     concurrently and collected in grid order, so output is identical to
-    the sequential run.
+    the sequential run.  A count that drops between consecutive grid
+    points raises ``VerificationError`` naming both radii.
     """
     r_grid = np.asarray(list(r_grid), dtype=float)
     if r_grid.ndim != 1 or len(r_grid) == 0:
@@ -172,23 +170,14 @@ def scan(
     if r_grid[0] < R_MIN_FLOOR - 1e-15 or r_grid[-1] > 1.0 + 1e-15:
         raise ValueError(f"scan grid must lie in [{R_MIN_FLOOR}, 1]")
     count = _n_neg_evaluator(asm)
-
-    def eval_point(r: float):
-        vals = None
-        if k > 0:
-            form = asm.h(r)
-            vals = smallest_eigenpairs(form.H, form.S, k).values
-        return count(r), vals
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_point, r_grid))
+            counts = list(pool.map(count, r_grid))
     else:
-        results = [eval_point(r) for r in r_grid]
-
-    n_neg = np.array([nn for nn, _ in results], dtype=int)
-    eigs = np.array([v for _, v in results]) if k > 0 else None
-    return ScanResult(r=r_grid, n_neg=n_neg, eigenvalues=eigs)
+        counts = [count(r) for r in r_grid]
+    for i in range(len(r_grid) - 1):
+        _check_rise(r_grid[i], counts[i], r_grid[i + 1], counts[i + 1])
+    return ScanResult(r=r_grid, n_neg=np.array(counts, dtype=int))
 
 
 def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol) -> List[Tuple[float, float, int, int]]:
@@ -220,74 +209,58 @@ def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol) -> List[Tuple[float, float, int,
     return final
 
 
-def locate(asm: Assembler, r_lo: float, r_hi: float) -> List[ConjugateRadius]:
-    """Conjugate radii inside a bracket with an inertia jump.
+def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[ConjugateRadius]:
+    """Conjugate radii inside every rising cell of a scan.
 
-    Bisection runs on the strict negative-pivot count (no zero band;
-    a tolerance band around zero would bias the located radius by the
-    band width).  A bracket with jump >= 2 is pre-refined tenfold to
-    separate near-coincident crossings; sub-brackets that keep a jump
-    >= 2 down to the final width are genuine multiple crossings, and
-    their multiplicity is the jump itself.  Kernel bases come from the
-    smallest-|lambda| eigenvectors at the final midpoint.  Brackets
-    shrink to BISECTION_TOL of the mesh dimension.
+    Bisection starts from the scan's counts at the cell ends and runs on
+    the same strict negative count.  A cell with jump >= 2 is pre-refined
+    tenfold to separate near-coincident crossings; sub-brackets that
+    keep a jump >= 2 down to the final width are genuine multiple
+    crossings, and their multiplicity is the jump itself.  Kernel bases
+    come from the smallest-|lambda| eigenvectors at the final midpoint.
+    Brackets shrink to BISECTION_TOL of the mesh dimension.
     """
     tol = BISECTION_TOL[asm.mesh.dim]
     n_neg = _n_neg_evaluator(asm)
-    n_lo, n_hi = n_neg(r_lo), n_neg(r_hi)
-    _check_rise(r_lo, n_lo, r_hi, n_hi)
-    jump = n_hi - n_lo
-    if jump < 1:
-        raise ValueError(
-            f"bracket ({r_lo}, {r_hi}) carries no inertia jump (got {jump})"
-        )
-
-    segments = [(r_lo, n_lo, r_hi, n_hi)]
-    if jump >= 2 and (r_hi - r_lo) > 10.0 * tol:
-        grid = np.linspace(r_lo, r_hi, 11)
-        counts = [n_lo] + [n_neg(r) for r in grid[1:-1]] + [n_hi]
-        for i in range(10):
-            _check_rise(grid[i], counts[i], grid[i + 1], counts[i + 1])
-        segments = [
-            (grid[i], int(counts[i]), grid[i + 1], int(counts[i + 1]))
-            for i in range(10)
-            if counts[i + 1] > counts[i]
-        ]
-
     out = []
-    for lo, nlo, hi, nhi in segments:
-        for blo, bhi, bnlo, bnhi in _bisect(n_neg, lo, nlo, hi, nhi, tol):
-            m = bnhi - bnlo
-            r_star = 0.5 * (blo + bhi)
-            form = asm.h(r_star)
-            pairs = kernel_eigenpairs(form.H, form.S, m)
-            basis = pairs.vectors
-            Hnorm = abs(form.H).max()
-            for j in range(m):
-                v = basis[:, j]
-                rel = np.linalg.norm(form.H @ v) / (Hnorm * math.sqrt(v @ (form.S @ v)))
-                if rel > KERNEL_RESIDUAL_TOL:
-                    raise VerificationError(
-                        f"kernel vector residual {rel:.2e} exceeds "
-                        f"{KERNEL_RESIDUAL_TOL} at r* = {r_star}"
+    for r_lo, n_lo, r_hi, n_hi in scan_result.brackets():
+        segments = [(r_lo, n_lo, r_hi, n_hi)]
+        if n_hi - n_lo >= 2 and (r_hi - r_lo) > 10.0 * tol:
+            grid = np.linspace(r_lo, r_hi, 11)
+            counts = [n_lo] + [n_neg(r) for r in grid[1:-1]] + [n_hi]
+            for i in range(10):
+                _check_rise(grid[i], counts[i], grid[i + 1], counts[i + 1])
+            segments = [
+                (grid[i], int(counts[i]), grid[i + 1], int(counts[i + 1]))
+                for i in range(10)
+                if counts[i + 1] > counts[i]
+            ]
+
+        for lo, nlo, hi, nhi in segments:
+            for blo, bhi, bnlo, bnhi in _bisect(n_neg, lo, nlo, hi, nhi, tol):
+                m = bnhi - bnlo
+                r_star = 0.5 * (blo + bhi)
+                form = asm.h(r_star)
+                pairs = kernel_eigenpairs(form.H, form.S, m)
+                basis = pairs.vectors
+                Hnorm = abs(form.H).max()
+                for j in range(m):
+                    v = basis[:, j]
+                    rel = np.linalg.norm(form.H @ v) / (Hnorm * math.sqrt(v @ (form.S @ v)))
+                    if rel > KERNEL_RESIDUAL_TOL:
+                        raise VerificationError(
+                            f"kernel vector residual {rel:.2e} exceeds "
+                            f"{KERNEL_RESIDUAL_TOL} at r* = {r_star}"
+                        )
+                out.append(
+                    ConjugateRadius(
+                        r_star=r_star,
+                        multiplicity=m,
+                        kernel_basis=basis,
+                        bracket=(blo, bhi),
                     )
-            out.append(
-                ConjugateRadius(
-                    r_star=r_star,
-                    multiplicity=m,
-                    kernel_basis=basis,
-                    bracket=(blo, bhi),
                 )
-            )
     out.sort(key=lambda c: c.r_star)
-    return out
-
-
-def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[ConjugateRadius]:
-    """Locate every crossing bracketed by a scan."""
-    out = []
-    for r_lo, r_hi, _ in scan_result.brackets():
-        out.extend(locate(asm, r_lo, r_hi))
     return out
 
 
@@ -409,11 +382,7 @@ def verify_crossing(asm: Assembler, conj: ConjugateRadius) -> CrossingFormReport
             f"crossing form at r* = {conj.r_star} is not negative definite "
             f"(eigenvalues {eigs})"
         )
-    signature = int(np.sum(eigs > 0.0) - np.sum(eigs < 0.0))
-    if abs(signature) != conj.multiplicity:
-        raise VerificationError(
-            f"|signature| = {abs(signature)} != multiplicity = {conj.multiplicity}"
-        )
+    signature = -len(eigs)
     agreement = np.linalg.norm(gamma_fd - gamma_bd, "fro") / np.linalg.norm(
         gamma_fd, "fro"
     )

@@ -64,7 +64,6 @@ class Mesh:
     boundary_nodes: np.ndarray        # (N,) bool
     interior_dof_map: np.ndarray      # (N,) int, -1 on the boundary
     boundary_edges: Optional[np.ndarray] = None     # (nb, 2), 2D only
-    boundary_normals: Optional[np.ndarray] = None   # (nb, dim) outward units
     boundary_elements: Optional[np.ndarray] = None  # (nb,) adjacent element
 
     @property
@@ -169,8 +168,7 @@ def _build_mesh_2d(rings: int) -> Mesh:
     boundary[ring_start[R]:] = True
 
     # Boundary edges: edges used by exactly one triangle, oriented as in
-    # that triangle; the outward normal is the clockwise rotation of the
-    # edge vector (interior lies on the left of a ccw-traversed edge).
+    # that triangle.
     edge_owner = {}
     for t, (a, b, c) in enumerate(elements):
         for p, q in ((a, b), (b, c), (c, a)):
@@ -188,9 +186,6 @@ def _build_mesh_2d(rings: int) -> Mesh:
     order = np.argsort([min(e) for e in b_edges], kind="stable")
     b_edges = np.asarray(b_edges, dtype=int)[order]
     b_tris = np.asarray(b_tris, dtype=int)[order]
-    tang = nodes[b_edges[:, 1]] - nodes[b_edges[:, 0]]
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]])
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
     if not np.all(np.asarray(boundary)[b_edges].all(axis=1)):
         raise RuntimeError("boundary edge with interior node")
 
@@ -202,7 +197,6 @@ def _build_mesh_2d(rings: int) -> Mesh:
         boundary_nodes=boundary,
         interior_dof_map=_interior_map(boundary),
         boundary_edges=b_edges,
-        boundary_normals=normals,
         boundary_elements=b_tris,
     )
 
@@ -213,11 +207,6 @@ class AssembledForm:
 
     H: sp.csr_matrix
     S: sp.csr_matrix
-    r: float
-
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
 
 
 # Degree-5 rule on the reference triangle (barycentric points, weights
@@ -416,7 +405,7 @@ class Assembler:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"scale parameter r = {r} outside [0, 1]")
         wq, fq = self._mass_data(r)
-        return AssembledForm(H=self._matrix(r, wq, fq), S=self._S, r=r)
+        return AssembledForm(H=self._matrix(r, wq, fq), S=self._S)
 
     def jacobian(self, r: float, u: np.ndarray) -> sp.csr_matrix:
         _, uq = self._element_values(u)

@@ -1,21 +1,23 @@
-"""Inertia counts and generalized symmetric eigenpairs for (H, S).
+"""Negative counts and generalized symmetric eigenpairs for (H, S).
 
-Inertia is read off the pivots of a symmetric factorization, classified
-by one rule (``_classify``).  Two routes produce the pivots:
+The negative count n_neg(H) is the number of negative pivots of a
+symmetric factorization (Sylvester's law of inertia), counted strictly
+by sign: a tolerance band around zero would bias every radius located
+by bisection on the count by the band width.  Two routes produce the
+pivots:
 
   * sparse input: one SuperLU factorization restricted to diagonal
     pivots under a fill-reducing symmetric ordering.  When the row and
     column permutations agree it is P^T H P = L D L^T with D the
-    diagonal of U, and Sylvester's law of inertia gives the count.
-    Every call checks symmetry, the permutations, finite pivots and
-    pivot growth, and raises ``FactorizationError`` rather than return a
-    count it cannot vouch for;
+    diagonal of U.  Every call checks symmetry, the permutations,
+    finite pivots and pivot growth, and raises ``FactorizationError``
+    rather than return a count it cannot vouch for;
   * dense input: Bunch-Kaufman (LAPACK ``dsytrf``), the pivoted
     reference the sparse route is tested against.
 
-Eigenpairs come from the dense generalized solver (small problems,
-ascending-k requests) or from shift-invert block inverse iteration at
-zero (kernel candidates near a degeneracy, any scale).
+Eigenpairs come from the dense generalized solver (the small-scale
+reference) or from shift-invert block inverse iteration at zero
+(kernel candidates near a degeneracy, any scale).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "Inertia",
     "EigenPairs",
     "FactorizationError",
     "inertia",
@@ -37,23 +38,8 @@ __all__ = [
     "kernel_eigenpairs",
 ]
 
-DEFAULT_PIVOT_TOL = 1e-9
-
-
 class FactorizationError(RuntimeError):
     """A factorization could not be completed reliably."""
-
-
-@dataclass(frozen=True)
-class Inertia:
-    n_neg: int
-    n_zero: int
-    n_pos: int
-    pivot_tolerance: float
-
-    @property
-    def dim(self) -> int:
-        return self.n_neg + self.n_zero + self.n_pos
 
 
 @dataclass(frozen=True)
@@ -87,16 +73,6 @@ def _pivot_eigs_from_factor(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _classify(pivots: np.ndarray, scale: float, tol: float, strict: bool):
-    if strict:
-        n_neg = int(np.sum(pivots < 0.0))
-        return n_neg, 0, pivots.size - n_neg
-    thr = tol * scale
-    n_zero = int(np.sum(np.abs(pivots) <= thr))
-    n_neg = int(np.sum(pivots < -thr))
-    return n_neg, n_zero, pivots.size - n_neg - n_zero
-
-
 def _dense_pivots(A: np.ndarray) -> np.ndarray:
     A = np.asfortranarray(A, dtype=float)
     ldu, ipiv, info = lapack.dsytrf(A, lower=1)
@@ -117,7 +93,7 @@ def _sparse_pivots(H: sp.csc_matrix, scale: float) -> np.ndarray:
 
     SuperLU leaves the diagonal only on an exactly zero pivot, which
     shows as perm_r != perm_c; that, a singular factor and pivot growth
-    beyond 1e12 max(max|H|, 1) are raised, never classified.
+    beyond 1e12 max(max|H|, 1) are raised, never counted.
     """
     try:
         lu = spla.splu(
@@ -136,30 +112,17 @@ def _sparse_pivots(H: sp.csc_matrix, scale: float) -> np.ndarray:
     return U.diagonal()
 
 
-def inertia(
-    H,
-    pivot_tolerance: float = DEFAULT_PIVOT_TOL,
-    strict: bool = False,
-) -> Inertia:
-    """Inertia (n_neg, n_zero, n_pos) of a symmetric matrix.
-
-    Pivots with |p| <= pivot_tolerance * max|H| count as zero.  With
-    ``strict`` the zero band is disabled and pivots are classified by
-    sign alone; bisection on the negative count uses this mode, since a
-    tolerance band around zero would bias the located radius by the
-    band width (see the conjugate module).
+def inertia(H) -> int:
+    """Negative count n_neg(H) of a symmetric matrix: pivots below zero.
 
     Sparse input is factorized sparse, dense input by Bunch-Kaufman
     (see the module docstring).
     """
-    n = H.shape[0]
     if H.shape[0] != H.shape[1]:
         raise ValueError("inertia requires a square matrix")
-    if n == 0:
-        return Inertia(0, 0, 0, pivot_tolerance)
     scale = _matrix_scale(H)
     if scale == 0.0:
-        return Inertia(0, n, 0, pivot_tolerance)
+        return 0
     if sp.issparse(H):
         Hc = sp.csc_matrix(H, dtype=float)
         if abs(Hc - Hc.T).max() > 1e-12 * scale:
@@ -172,17 +135,16 @@ def inertia(
         pivots = _dense_pivots(0.5 * (Hd + Hd.T))
     if not np.all(np.isfinite(pivots)):
         raise FactorizationError("non-finite pivots in factorization")
-    n_neg, n_zero, n_pos = _classify(pivots, scale, pivot_tolerance, strict)
-    return Inertia(n_neg, n_zero, n_pos, pivot_tolerance)
+    return int(np.sum(pivots < 0.0))
 
 
 def smallest_eigenpairs(H, S, k: int) -> EigenPairs:
     """The k algebraically smallest eigenpairs of H v = lambda S v.
 
     Dense reduction through a factorization of S; the returned vectors
-    are S-orthonormal.  Intended for desk-scale matrices and for the
-    1D pipeline; kernel extraction near a degeneracy at large 2D scale
-    goes through ``kernel_eigenpairs`` instead.
+    are S-orthonormal.  Intended for desk-scale matrices, as the
+    reference ``kernel_eigenpairs`` is tested against; the pipeline
+    extracts kernels through ``kernel_eigenpairs``.
     """
     n = H.shape[0]
     if not 1 <= k <= n:

@@ -17,7 +17,7 @@ def osc_cubic():
     asm = Assembler(mesh, met, spec)
     lin = problem.linear_problem(-C_OSC)
     asm_lin = Assembler(mesh, met, lin)
-    cj = conjugate.locate(asm_lin, 0.20, 0.23)[0]
+    cj = conjugate.find_conjugate_radii(asm_lin, conjugate.scan(asm_lin, [0.20, 0.23]))[0]
     return asm, cj
 
 
@@ -132,7 +132,7 @@ class TestTraceBranch:
         met = metric.euclidean(1)
         lin = problem.linear_problem(-C_OSC)
         asm = Assembler(mesh, met, lin)
-        cj = conjugate.locate(asm, 0.20, 0.23)[0]
+        cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], +1, 10, 1e-3)
         assert not tr.confirmed  # off the crossing the secant collapses to 0
 

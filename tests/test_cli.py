@@ -1,9 +1,12 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from smalescan import cli, conjugate, spectral
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 CONFIG_1D = """
 metric.kind = euclidean
@@ -15,7 +18,6 @@ mesh.dim = 1
 mesh.resolution = 400
 scan.r_min = 0.001
 scan.grid_points = 100
-scan.k_eigs = 2
 branch.steps = 10
 branch.step_size = 0.001
 output.dir = out
@@ -34,7 +36,6 @@ class TestConfigParsing:
         cfg = cli.load_config(config_file)
         assert cfg.mesh_resolution == 400
         assert cfg.problem_nonlinearity == "cubic"
-        assert cfg.scan_k_eigs == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.ConfigError):
@@ -70,6 +71,11 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="problem.f"):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+    def test_shipped_config_loads(self, name):
+        cfg = cli.load_config(CONFIG_DIR / name)
+        assert cfg.mesh_dim == cfg.metric_dim
+
     def test_r_min_floor(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG_1D.replace("scan.r_min = 0.001", "scan.r_min = 1e-5"))
@@ -103,11 +109,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("numerical breakdown:") and err.count("\n") == 1
 
+    def test_count_drop_exits_2(self, config_file, tmp_path, monkeypatch, capsys):
+        # 0 -> 2 -> 1 across the grid used to be written to scan.csv with exit 0
+        monkeypatch.setattr(
+            conjugate, "_n_neg_evaluator",
+            lambda asm: lambda r: 0 if r < 0.3 else (2 if r < 0.6 else 1),
+        )
+        out = tmp_path / "o"
+        assert cli.run("scan", config_file, out_dir=out) == cli.EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure: negative count drops from 2")
+        assert err.count("\n") == 1
+        assert not (out / "scan.csv").exists()
+
     def test_scan_writes_csv(self, config_file, tmp_path):
         out = tmp_path / "o"
         assert cli.run("scan", config_file, out_dir=out) == cli.EXIT_OK
         lines = (out / "scan.csv").read_text().splitlines()
-        assert lines[0] == "r,lambda_1,lambda_2,n_neg"
+        assert lines[0] == "r,n_neg"
         assert len(lines) == 101
         last = lines[-1].split(",")
         assert last[-1] == "4"

@@ -55,13 +55,16 @@ class TestScan:
         sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 80))
         assert np.all(np.diff(sc.n_neg) >= 0)
 
-    def test_eigenvalue_columns(self, osc_1d):
-        asm = osc_1d
-        sc = conjugate.scan(asm, np.linspace(0.1, 0.9, 5), k=3)
-        assert sc.eigenvalues.shape == (5, 3)
-        assert np.all(np.diff(sc.eigenvalues, axis=1) >= 0)
-        # first eigenvalue strictly decreasing in r for constant negative f
-        assert np.all(np.diff(sc.eigenvalues[:, 0]) < 0)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_count_drop_raises(self, osc_1d, monkeypatch, threads):
+        # 0 -> 2 -> 1 across the grid: the scan names both radii of the drop
+        monkeypatch.setattr(
+            conjugate, "_n_neg_evaluator",
+            lambda asm: lambda r: 0 if r < 0.3 else (2 if r < 0.6 else 1),
+        )
+        with pytest.raises(conjugate.VerificationError,
+                           match=r"drops from 2 at r = 0\.4 to 1 at r = 0\.7;"):
+            conjugate.scan(osc_1d, [0.1, 0.4, 0.7], threads=threads)
 
     def test_threaded_scan_matches_sequential(self, osc_1d):
         asm = osc_1d
@@ -83,7 +86,7 @@ class TestScan:
 class TestLocate:
     def test_oscillator_first_crossing(self, osc_1d):
         asm = osc_1d
-        found = conjugate.locate(asm, 0.20, 0.23)
+        found = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))
         assert len(found) == 1
         cj = found[0]
         assert cj.multiplicity == 1
@@ -97,13 +100,12 @@ class TestLocate:
 
     def test_empty_bracket_rejected(self, osc_1d):
         asm = osc_1d
-        with pytest.raises(ValueError):
-            conjugate.locate(asm, 0.25, 0.30)
+        assert conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.25, 0.30])) == []
 
     def test_split_and_recurse_separates_two_crossings(self, osc_1d):
         asm = osc_1d
         # bracket containing both 1/4.6 and 2/4.6
-        found = conjugate.locate(asm, 0.18, 0.47)
+        found = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.18, 0.47]))
         assert len(found) == 2
         assert found[0].r_star == pytest.approx(1.0 / 4.6, abs=2e-6)
         assert found[1].r_star == pytest.approx(2.0 / 4.6, abs=5e-6)
@@ -112,7 +114,7 @@ class TestLocate:
     def test_disc_multiplicity_two(self, disc_2d):
         asm = disc_2d
         r_exact = jn_zeros(1, 1)[0] / 6.0
-        found = conjugate.locate(asm, 0.62, 0.66)
+        found = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.62, 0.66]))
         assert len(found) == 1
         cj = found[0]
         assert cj.multiplicity == 2
@@ -121,10 +123,10 @@ class TestLocate:
 
     def test_multiplicity_equals_bracket_jump(self, disc_2d):
         asm = disc_2d
-        found = conjugate.locate(asm, 0.62, 0.66)
+        found = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.62, 0.66]))
         cj = found[0]
-        lo = conjugate.inertia(asm.h(cj.bracket[0]).H, strict=True).n_neg
-        hi = conjugate.inertia(asm.h(cj.bracket[1]).H, strict=True).n_neg
+        lo = conjugate.inertia(asm.h(cj.bracket[0]).H)
+        hi = conjugate.inertia(asm.h(cj.bracket[1]).H)
         assert hi - lo == cj.multiplicity
 
     def test_bisection_raises_on_count_drop(self):
@@ -143,7 +145,7 @@ class TestLocate:
             lambda asm: lambda r: 0 if r < 0.3 else (3 if r < 0.6 else 2),
         )
         with pytest.raises(conjugate.VerificationError, match="drops from 3"):
-            conjugate.locate(asm, 0.1, 0.9)
+            conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.1, 0.9]))
 
 
 class TestCrossingForms:
@@ -151,7 +153,7 @@ class TestCrossingForms:
         # Euclidean constant-f form is quadratic in r, so the central
         # difference equals the analytic derivative -2 c r u^T M u.
         asm = osc_1d
-        cj = conjugate.locate(asm, 0.20, 0.23)[0]
+        cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         gamma = conjugate.crossing_form_fd(asm, cj)
         K = asm.gram()
         M = (Assembler(asm.mesh, asm.metric, problem.linear_problem(1.0)).h(1.0).H - K) / 1.0
@@ -177,7 +179,7 @@ class TestCrossingForms:
 
     def test_fd_rejects_bad_delta(self, osc_1d):
         asm = osc_1d
-        cj = conjugate.locate(asm, 0.20, 0.23)[0]
+        cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         with pytest.raises(ValueError):
             conjugate.crossing_form_fd(asm, cj, delta=0.0)
 
@@ -187,7 +189,7 @@ class TestCrossingForms:
         met = metric.euclidean(1)
         spec = problem.linear_problem(-C_OSC)
         asm = Assembler(mesh, met, spec)
-        cj = conjugate.locate(asm, 0.20, 0.23)[0]
+        cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         gamma_bd = conjugate.crossing_form_boundary(asm, cj)
         assert gamma_bd[0, 0] == pytest.approx(-2.0 / cj.r_star, rel=1e-4)
 
@@ -196,14 +198,14 @@ class TestCrossingForms:
         met = metric.euclidean(1)
         spec = problem.linear_problem(-C_OSC)
         asm = Assembler(mesh, met, spec)
-        cj = conjugate.locate(asm, 0.20, 0.23)[0]
+        cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         rep = conjugate.verify_crossing(asm, cj)
         assert rep.agreement <= 0.01
         assert rep.signature == -1
 
     def test_multiplicity_two_negative_definite(self, disc_2d):
         asm = disc_2d
-        cj = conjugate.locate(asm, 0.62, 0.66)[0]
+        cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.62, 0.66]))[0]
         rep = conjugate.verify_crossing(asm, cj)
         eigs = np.linalg.eigvalsh(rep.gamma_fd)
         assert np.all(eigs < 0.0)
@@ -214,7 +216,7 @@ class TestCrossingForms:
     def test_unique_continuation_consequence(self, disc_2d):
         # boundary form strictly negative on every kernel vector
         asm = disc_2d
-        cj = conjugate.locate(asm, 0.62, 0.66)[0]
+        cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.62, 0.66]))[0]
         gamma_bd = conjugate.crossing_form_boundary(asm, cj)
         for j in range(cj.multiplicity):
             assert gamma_bd[j, j] < -1e-3
@@ -282,7 +284,6 @@ def test_disc_full_pipeline_small():
 
 PIPELINE_STAGES = [
     (conjugate, "scan"),
-    (conjugate, "locate"),
     (conjugate, "find_conjugate_radii"),
     (conjugate, "crossing_form_fd"),
     (conjugate, "crossing_form_boundary"),

@@ -58,13 +58,6 @@ class TestMesh:
         areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         assert np.all(areas > 1e-14)
 
-    def test_outward_normals(self):
-        mesh = fem.build_mesh(2, 5)
-        mids = 0.5 * (mesh.nodes[mesh.boundary_edges[:, 0]]
-                      + mesh.nodes[mesh.boundary_edges[:, 1]])
-        assert np.all(np.einsum("ij,ij->i", mids, mesh.boundary_normals) > 0.0)
-        assert np.allclose(np.linalg.norm(mesh.boundary_normals, axis=1), 1.0)
-
     def test_boundary_edge_adjacency(self):
         mesh = fem.build_mesh(2, 4)
         for (p, q), t in zip(mesh.boundary_edges, mesh.boundary_elements):

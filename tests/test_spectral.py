@@ -22,36 +22,26 @@ def flat_assembler(mesh):
 
 class TestInertia:
     def test_diagonal_example(self):
-        I = spectral.inertia(np.diag([-2.0, 0.0, 3.0]), 1e-8)
-        assert (I.n_neg, I.n_zero, I.n_pos) == (1, 1, 1)
+        assert spectral.inertia(np.diag([-2.0, 0.0, 3.0])) == 1
 
     def test_spd_stiffness(self):
         S = flat_assembler(fem.build_mesh(1, 50)).gram()
-        I = spectral.inertia(S)
-        assert (I.n_neg, I.n_zero, I.n_pos) == (0, 0, 49)
+        assert spectral.inertia(S) == 0
 
     def test_1d_oscillator_morse_index(self):
         # eigenvalues (k pi / 2)^2 - (2.3 pi)^2 are negative iff k <= 4
         mesh = fem.build_mesh(1, 2000)
         form = fem.Assembler(mesh, metric.euclidean(1),
                              problem.linear_problem(-(2.3 * np.pi) ** 2)).h(1.0)
-        assert spectral.inertia(form.H).n_neg == 4
-        assert spectral.inertia(form.H.toarray()).n_neg == 4
-
-    def test_sums_to_dimension(self):
-        rng = np.random.default_rng(0)
-        A = random_symmetric_with_inertia(rng, 3, 2, 5)
-        I = spectral.inertia(A, 1e-8)
-        assert (I.n_neg, I.n_zero, I.n_pos) == (3, 2, 5)
-        assert I.dim == 10
+        assert spectral.inertia(form.H) == 4
+        assert spectral.inertia(form.H.toarray()) == 4
 
     def test_congruence_invariance(self):
         rng = np.random.default_rng(1)
         A = random_symmetric_with_inertia(rng, 4, 0, 6)
         for _ in range(10):
             C = rng.standard_normal((10, 10)) + 3.0 * np.eye(10)
-            I = spectral.inertia(C @ A @ C.T)
-            assert (I.n_neg, I.n_zero, I.n_pos) == (4, 0, 6)
+            assert spectral.inertia(C @ A @ C.T) == 4
 
     def test_matches_dense_eigendecomposition(self):
         # Sylvester consistency on moderate random matrices
@@ -60,7 +50,7 @@ class TestInertia:
             A = rng.standard_normal((n, n))
             A = A + A.T
             expect = int((np.linalg.eigvalsh(A) < 0).sum())
-            assert spectral.inertia(A).n_neg == expect
+            assert spectral.inertia(A) == expect
 
     def test_sparse_matches_dense_across_radii(self):
         # sparse LDL^T against dense Bunch-Kaufman on every shipped geometry
@@ -73,18 +63,11 @@ class TestInertia:
             asm = fem.Assembler(mesh, met, problem.linear_problem(f))
             for r in np.linspace(1e-3, 1.0, 41):
                 H = asm.h(r).H
-                for strict in (True, False):
-                    a = spectral.inertia(H, strict=strict)
-                    b = spectral.inertia(H.toarray(), strict=strict)
-                    assert (a.n_neg, a.n_zero, a.n_pos) == (b.n_neg, b.n_zero, b.n_pos)
+                assert spectral.inertia(H) == spectral.inertia(H.toarray())
 
     def test_strict_mode_has_no_zero_band(self):
         A = np.diag([1e-14, -1e-14, 1.0])
-        I = spectral.inertia(A, 1e-9, strict=True)
-        assert I.n_zero == 0
-        assert I.n_neg == 1
-        I2 = spectral.inertia(A, 1e-9)
-        assert I2.n_zero == 2
+        assert spectral.inertia(A) == 1
 
     def test_rejects_nonsymmetric(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
