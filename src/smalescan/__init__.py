@@ -7,10 +7,10 @@ multiplicities, and confirms bifurcation of nontrivial semilinear
 solutions at the located radii.
 """
 
-from .metric import MetricModel, callback_metric, constant_curvature, euclidean
+from .metric import MetricModel, constant_curvature, euclidean
 from .problem import ProblemSpec, cubic_problem, linear_problem, parse_field
-from .fem import Assembler, AssembledForm, Mesh, build_mesh
-from .spectral import EigenPairs, inertia, kernel_eigenpairs, smallest_eigenpairs
+from .fem import Assembler, Mesh, build_mesh
+from .spectral import EigenPairs, inertia, kernel_eigenpairs
 from .conjugate import (
     ConjugateRadius,
     CrossingFormReport,
@@ -20,6 +20,7 @@ from .conjugate import (
     VerificationError,
     crossing_form_boundary,
     crossing_form_fd,
+    endpoint_kernel_gap,
     find_conjugate_radii,
     scan,
     verify_crossing,
@@ -28,8 +29,6 @@ from .conjugate import (
 from .branch import (
     BranchSample,
     BranchTrace,
-    amplitude_exponent,
-    multistart_no_small_solutions,
     newton_solve,
     trace_branch,
 )

@@ -4,18 +4,16 @@ The semilinear residual vanishes identically at u = 0 for every r; a
 branch of nontrivial solutions can only leave the trivial line at a
 conjugate radius.  This module traces such branches (warm-started
 damped Newton, seeded along the kernel direction with the pitchfork
-amplitude sqrt(step)), confirms that their norm vanishes into the
-crossing, and conversely certifies by multi-start search that no small
-nontrivial solutions exist near non-conjugate radii.  Like the stages
-of ``conjugate``, every function takes the problem's ``fem.Assembler``
-first.
+amplitude of the local normal form) and confirms that their norm
+vanishes into the crossing.  Like the stages of ``conjugate``, every
+function takes the problem's ``fem.Assembler`` first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,8 +26,6 @@ __all__ = [
     "BranchTrace",
     "newton_solve",
     "trace_branch",
-    "multistart_no_small_solutions",
-    "amplitude_exponent",
 ]
 
 NEWTON_TOL = 1e-10
@@ -37,8 +33,6 @@ NEWTON_MAX_ITERS = 50
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 TRIVIAL_NORM = 1e-8
-SMALL_NORM = 1e-2
-MULTISTART_SEED = 20240801
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
     if u.shape != (S.shape[0],):
         raise ValueError(f"u0 has shape {u.shape}, expected ({S.shape[0]},)")
 
-    h_scale = abs(asm.h(r).H).max()
+    h_scale = abs(asm.h(r)).max()
     tol_abs = NEWTON_TOL * (1.0 + h_scale)
 
     def dual_norm(res):
@@ -137,7 +131,7 @@ def _seed_amplitude(asm: Assembler, r1: float, phi: np.ndarray, step_size: float
     fallback = math.sqrt(step_size)
     if not 0.0 < r1 <= 1.0:
         return fallback
-    lam = float(phi @ (asm.h(r1).H @ phi))
+    lam = float(phi @ (asm.h(r1) @ phi))
     k4 = float(asm.residual(r1, phi) @ phi) - lam
     if k4 != 0.0 and -lam / k4 > 0.0:
         return math.sqrt(-lam / k4)
@@ -220,45 +214,3 @@ def trace_branch(
         intercept=intercept,
         failure=failure,
     )
-
-
-def multistart_no_small_solutions(
-    asm: Assembler, r: float, n_seeds: int = 20, seed_norm: float = 1e-2
-) -> Tuple[bool, List[BranchSample]]:
-    """Search for small nontrivial solutions from random small seeds.
-
-    Away from conjugate radii the implicit function theorem forbids
-    nontrivial solutions near zero; every converged run must land on
-    the trivial solution (or escape past SMALL_NORM).  Returns
-    (clean, samples) where clean means no converged solution had
-    TRIVIAL_NORM < h1_norm <= SMALL_NORM.  Deterministic via the fixed
-    seed MULTISTART_SEED.
-    """
-    S = asm.gram()
-    n = S.shape[0]
-    rng = np.random.default_rng(MULTISTART_SEED)
-    samples = []
-    clean = True
-    for i in range(n_seeds):
-        g = rng.standard_normal(n)
-        scale = seed_norm * (i + 1) / n_seeds
-        u0 = g * (scale / _h1_norm(S, g))
-        sample = newton_solve(asm, r, u0)
-        samples.append(sample)
-        if sample.converged and TRIVIAL_NORM < sample.h1_norm <= SMALL_NORM:
-            clean = False
-    return clean, samples
-
-
-def amplitude_exponent(
-    trace: BranchTrace, window: Tuple[float, float] = (1e-3, 1e-1)
-) -> float:
-    """Log-log slope of h1_norm against |r - r*| over the given window."""
-    rs = np.array([s.r for s in trace.samples])
-    norms = np.array([s.h1_norm for s in trace.samples])
-    dist = np.abs(rs - trace.r_star)
-    mask = (dist >= window[0] * (1.0 - 1e-12)) & (dist <= window[1] * (1.0 + 1e-12))
-    if mask.sum() < 3:
-        raise ValueError("not enough samples inside the fit window")
-    slope = np.polyfit(np.log(dist[mask]), np.log(norms[mask]), 1)[0]
-    return float(slope)

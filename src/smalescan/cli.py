@@ -6,7 +6,8 @@ before any computation starts; unknown keys are hard errors so typos
 cannot silently fall back to defaults.
 
 Exit codes: 0 success with all verifications passing, 1 usage or
-configuration error, 2 verification failure (index identity violated,
+configuration error (including an output directory that cannot be
+created), 2 verification failure (index identity violated,
 negative count not monotone, crossing form not negative definite,
 bifurcation not confirmed) or numerical breakdown (a factorization
 still rejected after its nudged retries), 3 degenerate endpoint (the
@@ -226,9 +227,7 @@ class Pipeline:
         return [conj_mod.verify_crossing(self.assembler, cj) for cj in self.conjugates()]
 
     def index_report(self) -> conj_mod.IndexReport:
-        return conj_mod.verify_index(
-            self.assembler, self.conjugates(), r_min=self.cfg.scan_r_min
-        )
+        return conj_mod.verify_index(self.scan(), self.conjugates())
 
     def branch_traces(self):
         traces = []
@@ -337,7 +336,11 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
         return EXIT_USAGE
 
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     pipe = Pipeline(cfg, out, threads=threads)
     if cfg.mesh_dump:
         pipe.write_mesh_dump()
@@ -352,7 +355,8 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
     code = EXIT_OK
     try:
         if "verify-index" in stages:
-            # Police the r = 1 assumption before heavy work.
+            # Police the r = 1 assumption before heavy work;
+            # verify_index does not check it again.
             conj_mod.endpoint_kernel_gap(pipe.assembler)
         if "scan" in stages:
             pipe.write_scan()

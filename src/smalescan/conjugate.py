@@ -22,9 +22,11 @@ definiteness of the form, and the index identity
 
 are the verification products of this module.
 
-Every stage takes the ``fem.Assembler`` of one problem first: it owns
-the mesh, the metric and the problem spec, so the radius family H(r) a
-stage works on is fixed by that one argument.
+Every stage that assembles takes the ``fem.Assembler`` of one problem
+first: it owns the mesh, the metric and the problem spec, so the radius
+family H(r) a stage works on is fixed by that one argument.
+``verify_index`` assembles nothing: it reads mu = n_neg(H(1)) and the
+count at the smallest radius off a scan that ends at r = 1.
 """
 
 from __future__ import annotations
@@ -134,8 +136,7 @@ def _n_neg_evaluator(asm: Assembler):
         shift = 0.0
         for attempt in range(4):
             try:
-                form = asm.h(r + shift if r + shift <= 1.0 else r - shift)
-                return inertia(form.H)
+                return inertia(asm.h(r + shift if r + shift <= 1.0 else r - shift))
             except FactorizationError:
                 shift = (attempt + 1) * 1e-9 * (1.0 + r)
         raise FactorizationError(f"inertia evaluation failed near r = {r}")
@@ -222,6 +223,7 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
     """
     tol = BISECTION_TOL[asm.mesh.dim]
     n_neg = _n_neg_evaluator(asm)
+    S = asm.gram()
     out = []
     for r_lo, n_lo, r_hi, n_hi in scan_result.brackets():
         segments = [(r_lo, n_lo, r_hi, n_hi)]
@@ -240,13 +242,12 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
             for blo, bhi, bnlo, bnhi in _bisect(n_neg, lo, nlo, hi, nhi, tol):
                 m = bnhi - bnlo
                 r_star = 0.5 * (blo + bhi)
-                form = asm.h(r_star)
-                pairs = kernel_eigenpairs(form.H, form.S, m)
-                basis = pairs.vectors
-                Hnorm = abs(form.H).max()
+                H = asm.h(r_star)
+                basis = kernel_eigenpairs(H, S, m).vectors
+                Hnorm = abs(H).max()
                 for j in range(m):
                     v = basis[:, j]
-                    rel = np.linalg.norm(form.H @ v) / (Hnorm * math.sqrt(v @ (form.S @ v)))
+                    rel = np.linalg.norm(H @ v) / (Hnorm * math.sqrt(v @ (S @ v)))
                     if rel > KERNEL_RESIDUAL_TOL:
                         raise VerificationError(
                             f"kernel vector residual {rel:.2e} exceeds "
@@ -285,7 +286,7 @@ def crossing_form_fd(
     V = conj.kernel_basis
 
     def q(r):
-        return V.T @ (asm.h(r).H @ V)
+        return V.T @ (asm.h(r) @ V)
 
     def gamma(d):
         if r0 + d <= 1.0:
@@ -404,8 +405,7 @@ def endpoint_kernel_gap(asm: Assembler) -> float:
     at the endpoint, and a run that violates the assumption must abort
     rather than guess.
     """
-    form1 = asm.h(1.0)
-    gap = float(abs(kernel_eigenpairs(form1.H, form1.S, 1).values[0]))
+    gap = float(abs(kernel_eigenpairs(asm.h(1.0), asm.gram(), 1).values[0]))
     if gap < KERNEL_THRESHOLD_AT_ONE:
         raise DegenerateRadiusOneError(
             f"|lambda_min(H(1), S)| = {gap:.3e} < {KERNEL_THRESHOLD_AT_ONE}"
@@ -414,25 +414,28 @@ def endpoint_kernel_gap(asm: Assembler) -> float:
 
 
 def verify_index(
-    asm: Assembler, conjugates: Sequence[ConjugateRadius], r_min: float = R_MIN_FLOOR
+    scan_result: ScanResult, conjugates: Sequence[ConjugateRadius]
 ) -> IndexReport:
     """Morse index at r = 1 against the summed crossing multiplicities.
 
-    Refuses to proceed when ``endpoint_kernel_gap`` finds H(1) degenerate.
+    mu = n_neg(H(1)) and the count at the smallest radius are the last
+    and the first counts of ``scan_result``, which must end at r = 1.
+    The identity presumes H(1) non-degenerate; ``endpoint_kernel_gap``
+    checks that, and a caller runs it before trusting the report.
     """
-    endpoint_kernel_gap(asm)
-    n_neg = _n_neg_evaluator(asm)
-    mu = n_neg(1.0)
-    n_small = n_neg(r_min)
+    if scan_result.r[-1] != 1.0:
+        raise ValueError("verify_index needs a scan that ends at r = 1")
+    mu = int(scan_result.n_neg[-1])
+    n_small = int(scan_result.n_neg[0])
     conj_list = [(c.r_star, c.multiplicity) for c in sorted(conjugates, key=lambda c: c.r_star)]
     sum_m = int(sum(m for _, m in conj_list))
     max_m = max((m for _, m in conj_list), default=0)
     bound = mu // max_m if max_m > 0 else 0
     return IndexReport(
-        morse_index_at_1=int(mu),
+        morse_index_at_1=mu,
         conjugate_list=conj_list,
         sum_m=sum_m,
-        identity_holds=(int(mu) == sum_m),
-        morse_index_small_r=int(n_small),
+        identity_holds=(mu == sum_m),
+        morse_index_small_r=n_small,
         corollary_bound=int(bound),
     )

@@ -13,7 +13,6 @@ parameter r in [0, 1]:
     S       Euclidean H^1_0 Gram matrix int grad u . grad v  (r-independent)
     F(r,u)  residual of the semilinear functional, F_i = q_r(u_h, phi_i)
     J(r,u)  Jacobian of F; J(r, 0) equals H(r) by the same quadrature
-    psi(r,u) discrete energy, whose exact gradient is F by construction
 
 Quadrature: the gradient terms use the midpoint rule (1D) and the
 3-point barycentric rule (2D); the weighted mass / nonlinear terms use
@@ -44,7 +43,6 @@ from .problem import ProblemSpec
 
 __all__ = [
     "Mesh",
-    "AssembledForm",
     "Assembler",
     "build_mesh",
 ]
@@ -201,14 +199,6 @@ def _build_mesh_2d(rings: int) -> Mesh:
     )
 
 
-@dataclass(frozen=True)
-class AssembledForm:
-    """Discrete form H(r) plus the fixed Gram matrix S, interior dofs only."""
-
-    H: sp.csr_matrix
-    S: sp.csr_matrix
-
-
 # Degree-5 rule on the reference triangle (barycentric points, weights
 # summing to 1); used for the weighted mass and nonlinear terms.
 _A1 = (6.0 - np.sqrt(15.0)) / 21.0
@@ -257,9 +247,9 @@ class Assembler:
     with c = f for H(r) and c = dV/du(r x, u) for J(r, u), so J(r, 0)
     equals H(r) exactly.  A matrix is one ``np.bincount`` into the slots
     followed by 0.5 (d + d[transpose]), which is exactly symmetric.  The
-    mass, nonlinear and energy terms read only w(r x) from the metric.
-    ``h``, ``jacobian``, ``residual`` and ``energy`` write no state, so
-    ``h`` may run concurrently.
+    mass and nonlinear terms read only w(r x) from the metric.  ``h``,
+    ``jacobian`` and ``residual`` write no state, so ``h`` may run
+    concurrently.
     """
 
     def __init__(self, mesh: Mesh, metric: MetricModel, spec: ProblemSpec):
@@ -401,11 +391,11 @@ class Assembler:
             self._lu_S = spla.splu(self._S.tocsc())
         return self._lu_S
 
-    def h(self, r: float) -> AssembledForm:
+    def h(self, r: float) -> sp.csr_matrix:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"scale parameter r = {r} outside [0, 1]")
         wq, fq = self._mass_data(r)
-        return AssembledForm(H=self._matrix(r, wq, fq), S=self._S)
+        return self._matrix(r, wq, fq)
 
     def jacobian(self, r: float, u: np.ndarray) -> sp.csr_matrix:
         _, uq = self._element_values(u)
@@ -423,12 +413,3 @@ class Assembler:
             self.elem_nodes.ravel(), weights=Fe.ravel(), minlength=self.mesh.n_nodes
         )
         return F[self._int_idx]
-
-    def energy(self, r: float, u: np.ndarray) -> float:
-        """Discrete functional whose exact gradient is ``residual``."""
-        ue, uq = self._element_values(u)
-        ne, nv = ue.shape
-        Ke = self._stiffness(r).reshape(ne, nv, nv)
-        grad_term = float(np.einsum("ti,tij,tj->", ue, Ke, ue))
-        wq, fq = self._mass_data(r)
-        return 0.5 * grad_term + r * r * float(np.sum(wq * self.spec.g_values(fq, uq)))

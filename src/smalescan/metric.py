@@ -12,18 +12,16 @@ closed forms in normal coordinates:
 
 where s_k(t) = sin(sqrt(k) t)/sqrt(k) for k > 0, t for k = 0 and
 sinh(sqrt(-k) t)/sqrt(-k) for k < 0, and P_rad = x x^T / t^2,
-P_tan = I - P_rad.  A user-supplied (A, w) callback pair is accepted
-for metrics outside the built-in families.
+P_tan = I - P_rad.
 
 ``coefficients`` evaluates (A, w) at a batch of points; ``weights``
 evaluates w alone, with the same checks and the same values, for the
-terms that need no A (mass, nonlinear and energy terms).
+terms that need no A (mass and nonlinear terms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,7 +29,6 @@ __all__ = [
     "MetricModel",
     "euclidean",
     "constant_curvature",
-    "callback_metric",
     "coefficients",
     "weights",
 ]
@@ -42,7 +39,6 @@ SERIES_CUTOFF = 1e-4
 
 EUCLIDEAN = "euclidean"
 CONSTANT_CURVATURE = "constant_curvature"
-CALLBACK = "callback"
 
 
 @dataclass(frozen=True)
@@ -52,24 +48,19 @@ class MetricModel:
     Parameters
     ----------
     kind : str
-        One of ``"euclidean"``, ``"constant_curvature"``, ``"callback"``.
+        One of ``"euclidean"``, ``"constant_curvature"``.
     dim : int
         Ambient dimension n >= 1.
     kappa : float
         Sectional curvature; only meaningful for ``constant_curvature``.
-    a_fn, w_fn : callable, optional
-        For ``callback`` metrics: batched evaluators mapping points of
-        shape (m, n) to A of shape (m, n, n) and w of shape (m,).
     """
 
     kind: str
     dim: int
     kappa: float = 0.0
-    a_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    w_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, CONSTANT_CURVATURE, CALLBACK):
+        if self.kind not in (EUCLIDEAN, CONSTANT_CURVATURE):
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError(f"metric dimension must be >= 1, got {self.dim}")
@@ -81,8 +72,6 @@ class MetricModel:
                     "constant curvature kappa = %g puts the unit ball outside "
                     "the injectivity radius (need sqrt(kappa) < pi)" % self.kappa
                 )
-        if self.kind == CALLBACK and (self.a_fn is None or self.w_fn is None):
-            raise ValueError("callback metric requires both a_fn and w_fn")
 
 
 def euclidean(dim: int) -> MetricModel:
@@ -95,11 +84,6 @@ def constant_curvature(dim: int, kappa: float) -> MetricModel:
     if kappa == 0.0:
         return MetricModel(CONSTANT_CURVATURE, dim, 0.0)
     return MetricModel(CONSTANT_CURVATURE, dim, float(kappa))
-
-
-def callback_metric(dim, a_fn, w_fn) -> MetricModel:
-    """Plug-in point for metrics given directly by their (A, w) fields."""
-    return MetricModel(CALLBACK, dim, 0.0, a_fn, w_fn)
 
 
 def _sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
@@ -155,8 +139,6 @@ def _weights(model: MetricModel, P: np.ndarray, t: np.ndarray) -> np.ndarray:
     """w at checked points; (s_k(t)/t)^(n-1) for the space forms, whose
     series branch gives exactly 1 at the center."""
     m, n = P.shape
-    if model.kind == CALLBACK:
-        return np.asarray(model.w_fn(P), dtype=float).reshape(m)
     if model.kind == EUCLIDEAN or model.kappa == 0.0:
         return np.ones(m)
     return _sin_ratio(model.kappa, t) ** (n - 1)
@@ -165,7 +147,7 @@ def _weights(model: MetricModel, P: np.ndarray, t: np.ndarray) -> np.ndarray:
 def weights(model: MetricModel, points: np.ndarray) -> np.ndarray:
     """Batched w = |g|^(1/2) alone, equal to ``coefficients(...)[1]``.
 
-    The mass, nonlinear and energy terms of the assembly need only w, so
+    The mass and nonlinear terms of the assembly need only w, so
     they skip building A.  Same checks and errors as ``coefficients`` on
     the closed unit ball; returns an array of shape (m,).
     """
@@ -191,9 +173,6 @@ def coefficients(model: MetricModel, points: np.ndarray):
     P, t = _checked_points(model, points)
     m, n = P.shape
     w = _weights(model, P, t)
-
-    if model.kind == CALLBACK:
-        return np.asarray(model.a_fn(P), dtype=float).reshape(m, n, n), w
 
     if model.kind == EUCLIDEAN or model.kappa == 0.0:
         return np.broadcast_to(np.eye(n), (m, n, n)).copy(), w

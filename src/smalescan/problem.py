@@ -1,4 +1,4 @@
-"""Potential f, nonlinearity V and its primitive G.
+"""Potential f and nonlinearity V.
 
 The linearized problem only sees f; the semilinear problem sees
 V(y, xi) with V(y, 0) = 0 and dV/dxi(y, 0) = f(y).  Two nonlinearities
@@ -7,9 +7,8 @@ are built in:
     linear      V = f(y) xi
     cubic(b)    V = f(y) xi + b xi^3
 
-with primitives G = f xi^2/2 and G = f xi^2/2 + b xi^4/4.  Potentials
-are either constants or small closed-form expressions in the
-coordinates (see ``parse_field``), so that configurations stay
+Potentials are either constants or small closed-form expressions in
+the coordinates (see ``parse_field``), so that configurations stay
 reproducible without a scripting engine.
 """
 
@@ -59,11 +58,6 @@ class ProblemSpec:
         if self.nonlinearity == LINEAR:
             return fvals * xi
         return fvals * xi + self.cubic_b * xi ** 3
-
-    def g_values(self, fvals: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        if self.nonlinearity == LINEAR:
-            return 0.5 * fvals * xi ** 2
-        return 0.5 * fvals * xi ** 2 + 0.25 * self.cubic_b * xi ** 4
 
     def dv_values(self, fvals: np.ndarray, xi: np.ndarray) -> np.ndarray:
         if self.nonlinearity == LINEAR:

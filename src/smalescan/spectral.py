@@ -1,23 +1,18 @@
-"""Negative counts and generalized symmetric eigenpairs for (H, S).
+"""Negative counts and kernel eigenpairs for the pencil (H, S).
 
 The negative count n_neg(H) is the number of negative pivots of a
 symmetric factorization (Sylvester's law of inertia), counted strictly
 by sign: a tolerance band around zero would bias every radius located
-by bisection on the count by the band width.  Two routes produce the
-pivots:
+by bisection on the count by the band width.  The pivots come from one
+SuperLU factorization restricted to diagonal pivots under a
+fill-reducing symmetric ordering.  When the row and column permutations
+agree it is P^T H P = L D L^T with D the diagonal of U.  Every call
+checks symmetry, the permutations, finite pivots and pivot growth, and
+raises ``FactorizationError`` rather than return a count it cannot
+vouch for.
 
-  * sparse input: one SuperLU factorization restricted to diagonal
-    pivots under a fill-reducing symmetric ordering.  When the row and
-    column permutations agree it is P^T H P = L D L^T with D the
-    diagonal of U.  Every call checks symmetry, the permutations,
-    finite pivots and pivot growth, and raises ``FactorizationError``
-    rather than return a count it cannot vouch for;
-  * dense input: Bunch-Kaufman (LAPACK ``dsytrf``), the pivoted
-    reference the sparse route is tested against.
-
-Eigenpairs come from the dense generalized solver (the small-scale
-reference) or from shift-invert block inverse iteration at zero
-(kernel candidates near a degeneracy, any scale).
+Kernel eigenpairs come from shift-invert block inverse iteration at
+zero, for kernel candidates near a degeneracy at any scale.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -34,9 +28,15 @@ __all__ = [
     "EigenPairs",
     "FactorizationError",
     "inertia",
-    "smallest_eigenpairs",
     "kernel_eigenpairs",
 ]
+
+# Inverse iteration in ``kernel_eigenpairs``: absolute Ritz-value
+# tolerance relative to ||H||_inf, sweep limit, and the fixed seed of
+# the start block.
+KERNEL_TOL = 1e-11
+KERNEL_MAX_SWEEPS = 60
+KERNEL_SEED = 20240801
 
 class FactorizationError(RuntimeError):
     """A factorization could not be completed reliably."""
@@ -48,44 +48,6 @@ class EigenPairs:
 
     values: np.ndarray    # (k,)
     vectors: np.ndarray   # (n, k), vectors[:, i]^T S vectors[:, j] = delta_ij
-
-
-def _pivot_eigs_from_factor(ldu: np.ndarray, ipiv: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the block-diagonal D of a Bunch-Kaufman factor.
-
-    LAPACK lower-storage convention: ipiv[k] > 0 marks a 1x1 pivot,
-    ipiv[k] == ipiv[k+1] < 0 a 2x2 pivot in rows k, k+1.
-    """
-    n = ldu.shape[0]
-    out = np.empty(n)
-    k = 0
-    while k < n:
-        if ipiv[k] >= 0:
-            out[k] = ldu[k, k]
-            k += 1
-        else:
-            a, b, c = ldu[k, k], ldu[k + 1, k], ldu[k + 1, k + 1]
-            tr, det = a + c, a * c - b * b
-            disc = np.sqrt(max(0.25 * (a - c) ** 2 + b * b, 0.0))
-            out[k] = 0.5 * tr - disc
-            out[k + 1] = 0.5 * tr + disc
-            k += 2
-    return out
-
-
-def _dense_pivots(A: np.ndarray) -> np.ndarray:
-    A = np.asfortranarray(A, dtype=float)
-    ldu, ipiv, info = lapack.dsytrf(A, lower=1)
-    if info < 0:
-        raise FactorizationError(f"dsytrf failed with info = {info}")
-    return _pivot_eigs_from_factor(ldu, ipiv)
-
-
-def _matrix_scale(H) -> float:
-    if sp.issparse(H):
-        data = H.data
-        return float(np.max(np.abs(data))) if data.size else 0.0
-    return float(np.max(np.abs(H))) if H.size else 0.0
 
 
 def _sparse_pivots(H: sp.csc_matrix, scale: float) -> np.ndarray:
@@ -115,57 +77,24 @@ def _sparse_pivots(H: sp.csc_matrix, scale: float) -> np.ndarray:
 def inertia(H) -> int:
     """Negative count n_neg(H) of a symmetric matrix: pivots below zero.
 
-    Sparse input is factorized sparse, dense input by Bunch-Kaufman
-    (see the module docstring).
+    Any input, dense or sparse, is factorized as a CSC matrix (see the
+    module docstring).
     """
     if H.shape[0] != H.shape[1]:
         raise ValueError("inertia requires a square matrix")
-    scale = _matrix_scale(H)
+    Hc = sp.csc_matrix(H, dtype=float)
+    scale = float(np.max(np.abs(Hc.data))) if Hc.nnz else 0.0
     if scale == 0.0:
         return 0
-    if sp.issparse(H):
-        Hc = sp.csc_matrix(H, dtype=float)
-        if abs(Hc - Hc.T).max() > 1e-12 * scale:
-            raise ValueError("inertia requires a symmetric matrix")
-        pivots = _sparse_pivots(Hc, scale)
-    else:
-        Hd = np.asarray(H, dtype=float)
-        if not np.allclose(Hd, Hd.T, rtol=0.0, atol=1e-12 * scale):
-            raise ValueError("inertia requires a symmetric matrix")
-        pivots = _dense_pivots(0.5 * (Hd + Hd.T))
+    if abs(Hc - Hc.T).max() > 1e-12 * scale:
+        raise ValueError("inertia requires a symmetric matrix")
+    pivots = _sparse_pivots(Hc, scale)
     if not np.all(np.isfinite(pivots)):
         raise FactorizationError("non-finite pivots in factorization")
     return int(np.sum(pivots < 0.0))
 
 
-def smallest_eigenpairs(H, S, k: int) -> EigenPairs:
-    """The k algebraically smallest eigenpairs of H v = lambda S v.
-
-    Dense reduction through a factorization of S; the returned vectors
-    are S-orthonormal.  Intended for desk-scale matrices, as the
-    reference ``kernel_eigenpairs`` is tested against; the pipeline
-    extracts kernels through ``kernel_eigenpairs``.
-    """
-    n = H.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k = {k}")
-    Hd = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-    Sd = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
-    try:
-        vals, vecs = la.eigh(Hd, Sd, subset_by_index=[0, k - 1])
-    except la.LinAlgError as exc:
-        raise FactorizationError(f"generalized eigensolve failed: {exc}") from exc
-    return EigenPairs(values=vals, vectors=vecs)
-
-
-def kernel_eigenpairs(
-    H,
-    S,
-    k: int,
-    tol: float = 1e-11,
-    max_iter: int = 60,
-    seed: int = 20240801,
-) -> EigenPairs:
+def kernel_eigenpairs(H, S, k: int) -> EigenPairs:
     """The k smallest-|lambda| eigenpairs of (H, S) by shift-invert at 0.
 
     Block inverse iteration with a sparse LU of H and Rayleigh-Ritz
@@ -174,8 +103,8 @@ def kernel_eigenpairs(
     from the rest, which is exactly the regime it is used in (kernel
     bases at a located degeneracy, the r = 1 degeneracy check).  A sweep
     converges when the k Ritz values agree with the previous sweep's to
-    rtol 1e-13 or ``tol * ||H||_inf``; if ``max_iter`` sweeps end without
-    that, ``FactorizationError`` is raised rather than an unconverged
+    rtol 1e-13 or ``KERNEL_TOL * ||H||_inf``; if ``KERNEL_MAX_SWEEPS``
+    sweeps end without that, ``FactorizationError`` is raised rather than an unconverged
     basis returned.
     """
     n = H.shape[0]
@@ -194,11 +123,11 @@ def kernel_eigenpairs(
     if lu is None:
         raise FactorizationError("shift-invert factorization failed")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(KERNEL_SEED)
     block = min(n, k + 2)
     X = rng.standard_normal((n, block))
     theta_old = None
-    for _ in range(max_iter):
+    for _ in range(KERNEL_MAX_SWEEPS):
         Y = lu.solve(Sc @ X)
         # S-orthonormalize the block.
         G = Y.T @ (Sc @ Y)
@@ -216,13 +145,13 @@ def kernel_eigenpairs(
         theta = theta[order]
         X = X[:, order]
         if theta_old is not None and np.allclose(
-            theta[:k], theta_old[:k], rtol=1e-13, atol=tol * Hnorm
+            theta[:k], theta_old[:k], rtol=1e-13, atol=KERNEL_TOL * Hnorm
         ):
             break
         theta_old = theta
     else:
         raise FactorizationError(
-            f"inverse iteration did not converge in {max_iter} sweeps"
+            f"inverse iteration did not converge in {KERNEL_MAX_SWEEPS} sweeps"
         )
     vals = theta[:k]
     vecs = X[:, :k]

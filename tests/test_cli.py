@@ -161,6 +161,23 @@ class TestRun:
         assert text.splitlines()[0] == "mu=4 sum_m=4 PASS"
         assert "corollary_bound=4" in text
 
+    def test_verify_index_solves_the_r1_kernel_once(self, config_file, tmp_path,
+                                                    monkeypatch):
+        # One kernel eigensolve per located radius plus the r = 1 guard.
+        calls = []
+        solve = conjugate.kernel_eigenpairs
+
+        def counted(H, S, k):
+            calls.append(k)
+            return solve(H, S, k)
+
+        monkeypatch.setattr(conjugate, "kernel_eigenpairs", counted)
+        out = tmp_path / "o"
+        assert cli.run("verify-index", config_file, out_dir=out) == cli.EXIT_OK
+        located = (out / "index_report.txt").read_text().count("r_star=")
+        assert located == 4
+        assert len(calls) == located + 1
+
     def test_bifurcate_writes_branches(self, config_file, tmp_path):
         out = tmp_path / "o"
         assert cli.run("bifurcate", config_file, out_dir=out) == cli.EXIT_OK
@@ -186,6 +203,21 @@ class TestRun:
             if (out1 / name).exists():
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / "conjugate.csv").read_bytes() == (out2 / "conjugate.csv").read_bytes()
+
+    @pytest.mark.parametrize("via", ["--out", "output.dir"])
+    def test_output_dir_naming_a_file_exits_1(self, config_file, tmp_path, capsys, via):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        if via == "--out":
+            code = cli.main(["scan", "--config", str(config_file), "--out", str(taken)])
+        else:
+            config_file.write_text(CONFIG_1D.replace("output.dir = out",
+                                                     f"output.dir = {taken}"))
+            code = cli.main(["scan", "--config", str(config_file)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert err.count("\n") == 1
 
     def test_mesh_dump(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -93,9 +93,9 @@ class TestLocate:
         assert cj.r_star == pytest.approx(1.0 / 4.6, abs=2e-6)
         assert cj.bracket_width <= 1e-8
         # kernel residual invariant
-        form = asm.h(cj.r_star)
+        H, S = asm.h(cj.r_star), asm.gram()
         v = cj.kernel_basis[:, 0]
-        rel = np.linalg.norm(form.H @ v) / (abs(form.H).max() * np.sqrt(v @ (form.S @ v)))
+        rel = np.linalg.norm(H @ v) / (abs(H).max() * np.sqrt(v @ (S @ v)))
         assert rel <= 1e-6
 
     def test_empty_bracket_rejected(self, osc_1d):
@@ -125,8 +125,8 @@ class TestLocate:
         asm = disc_2d
         found = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.62, 0.66]))
         cj = found[0]
-        lo = conjugate.inertia(asm.h(cj.bracket[0]).H)
-        hi = conjugate.inertia(asm.h(cj.bracket[1]).H)
+        lo = conjugate.inertia(asm.h(cj.bracket[0]))
+        hi = conjugate.inertia(asm.h(cj.bracket[1]))
         assert hi - lo == cj.multiplicity
 
     def test_bisection_raises_on_count_drop(self):
@@ -156,7 +156,7 @@ class TestCrossingForms:
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         gamma = conjugate.crossing_form_fd(asm, cj)
         K = asm.gram()
-        M = (Assembler(asm.mesh, asm.metric, problem.linear_problem(1.0)).h(1.0).H - K) / 1.0
+        M = (Assembler(asm.mesh, asm.metric, problem.linear_problem(1.0)).h(1.0) - K) / 1.0
         v = cj.kernel_basis[:, 0]
         expect = -2.0 * C_OSC * cj.r_star * float(v @ (M @ v))
         # exact up to subtraction noise eps*||K||*||v||^2 / (2 delta)
@@ -173,7 +173,7 @@ class TestCrossingForms:
             r_star=r_star, multiplicity=1, kernel_basis=V, bracket=(r_star, r_star)
         )
         gamma = conjugate.crossing_form_fd(asm, cj)
-        M = Assembler(asm.mesh, asm.metric, problem.linear_problem(1.0)).h(1.0).H - asm.gram()
+        M = Assembler(asm.mesh, asm.metric, problem.linear_problem(1.0)).h(1.0) - asm.gram()
         expect = -2.0 * C_OSC * r_star * float(V[:, 0] @ (M @ V[:, 0]))
         assert gamma[0, 0] == pytest.approx(expect, rel=1e-6)
 
@@ -227,7 +227,7 @@ class TestVerifyIndex:
         asm = osc_1d
         sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 120))
         conjs = conjugate.find_conjugate_radii(asm, sc)
-        rep = conjugate.verify_index(asm, conjs)
+        rep = conjugate.verify_index(sc, conjs)
         assert rep.morse_index_at_1 == 4
         assert rep.sum_m == 4
         assert rep.identity_holds
@@ -238,7 +238,8 @@ class TestVerifyIndex:
         mesh = fem.build_mesh(1, 100)
         met = metric.euclidean(1)
         spec = problem.linear_problem(0.0)
-        rep = conjugate.verify_index(Assembler(mesh, met, spec), [])
+        sc = conjugate.scan(Assembler(mesh, met, spec), [1e-3, 1.0])
+        rep = conjugate.verify_index(sc, [])
         assert rep.morse_index_at_1 == 0
         assert rep.sum_m == 0
         assert rep.identity_holds
@@ -252,7 +253,26 @@ class TestVerifyIndex:
         spec = problem.linear_problem(-(2.5 * np.pi) ** 2)
         asm = Assembler(mesh, met, spec)
         with pytest.raises(conjugate.DegenerateRadiusOneError):
-            conjugate.verify_index(asm, [])
+            conjugate.endpoint_kernel_gap(asm)
+
+    def test_reads_counts_off_the_scan(self):
+        # mu and n_neg(r_min) are the scan's last and first counts; no
+        # assembly, so these counts need not come from any form.
+        basis = np.zeros((1, 1))
+        conjs = [conjugate.ConjugateRadius(r, m, basis, (r, r))
+                 for r, m in ((0.7, 2), (0.3, 1))]
+        sc = conjugate.ScanResult(r=np.array([0.01, 0.5, 1.0]),
+                                  n_neg=np.array([1, 1, 4]))
+        rep = conjugate.verify_index(sc, conjs)
+        assert rep.morse_index_at_1 == 4
+        assert rep.morse_index_small_r == 1
+        assert rep.conjugate_list == [(0.3, 1), (0.7, 2)]
+        assert rep.sum_m == 3
+        assert not rep.identity_holds
+        assert rep.corollary_bound == 2
+        short = conjugate.ScanResult(r=np.array([0.01, 0.5]), n_neg=np.array([0, 1]))
+        with pytest.raises(ValueError, match="ends at r = 1"):
+            conjugate.verify_index(short, conjs)
 
     def test_endpoint_gap_clean_case(self, osc_1d):
         asm = osc_1d
@@ -276,7 +296,7 @@ def test_disc_full_pipeline_small():
     for cj, (r_exact, m_exact) in zip(conjs, exact):
         assert cj.multiplicity == m_exact
         assert cj.r_star == pytest.approx(r_exact, rel=2e-2)
-    rep = conjugate.verify_index(asm, conjs)
+    rep = conjugate.verify_index(sc, conjs)
     assert rep.morse_index_at_1 == 6
     assert rep.identity_holds
     assert rep.corollary_bound == 3
@@ -289,10 +309,8 @@ PIPELINE_STAGES = [
     (conjugate, "crossing_form_boundary"),
     (conjugate, "verify_crossing"),
     (conjugate, "endpoint_kernel_gap"),
-    (conjugate, "verify_index"),
     (branch, "newton_solve"),
     (branch, "trace_branch"),
-    (branch, "multistart_no_small_solutions"),
 ]
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from smalescan import fem, metric, problem
+
+from reference import energy, reference_assembly
 
 
 def hat_stiffness(n_elem, length=2.0):
@@ -83,29 +84,28 @@ class TestAssembleH:
     def test_1d_flat_no_potential_is_stiffness(self):
         asm = flat_assembler(fem.build_mesh(1, 10))
         for r in (0.0, 0.3, 1.0):
-            form = asm.h(r)
-            assert np.allclose(form.H.toarray(), hat_stiffness(10), atol=1e-14)
+            assert np.allclose(asm.h(r).toarray(), hat_stiffness(10), atol=1e-14)
 
     def test_r_zero_is_pure_stiffness_any_metric(self):
         mesh = fem.build_mesh(2, 4)
         met = metric.constant_curvature(2, 1.0)
         spec = problem.linear_problem(-17.0)
-        form = fem.Assembler(mesh, met, spec).h(0.0)
+        H = fem.Assembler(mesh, met, spec).h(0.0)
         gram = flat_assembler(mesh).gram()
-        assert np.allclose(form.H.toarray(), gram.toarray(), atol=1e-14)
+        assert np.allclose(H.toarray(), gram.toarray(), atol=1e-14)
 
     def test_1d_constant_potential_closed_form(self):
         mesh = fem.build_mesh(1, 8)
         c, r = 5.0, 0.6
-        form = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-c)).h(r)
+        H = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-c)).h(r)
         expect = hat_stiffness(8) - c * r * r * hat_mass(8)
-        assert np.allclose(form.H.toarray(), expect, atol=1e-13)
+        assert np.allclose(H.toarray(), expect, atol=1e-13)
 
     def test_symmetry(self):
         mesh = fem.build_mesh(2, 6)
-        form = fem.Assembler(mesh, metric.constant_curvature(2, 1.0),
-                             problem.linear_problem(-9.0)).h(0.7)
-        diff = (form.H - form.H.T).toarray()
+        H = fem.Assembler(mesh, metric.constant_curvature(2, 1.0),
+                          problem.linear_problem(-9.0)).h(0.7)
+        diff = (H - H.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
 
     def test_rejects_bad_r(self):
@@ -124,8 +124,7 @@ class TestGram:
         mesh = fem.build_mesh(2, 5)
         asm = flat_assembler(mesh)
         S = asm.gram()
-        form = asm.h(0.9)
-        assert np.allclose(S.toarray(), form.H.toarray(), atol=1e-14)
+        assert np.allclose(S.toarray(), asm.h(0.9).toarray(), atol=1e-14)
 
     @pytest.mark.parametrize("dim,res", [(1, 50), (2, 6)])
     def test_positive_definite(self, dim, res):
@@ -151,12 +150,12 @@ class TestResidualJacobian:
         rng = np.random.default_rng(5)
         u = rng.standard_normal(self.mesh.n_interior)
         r = 0.8
-        assert np.allclose(asm.residual(r, u), asm.h(r).H @ u, atol=1e-12)
+        assert np.allclose(asm.residual(r, u), asm.h(r) @ u, atol=1e-12)
 
     def test_jacobian_at_zero_equals_h(self):
         r = 0.73
         J = self.asm.jacobian(r, np.zeros(self.mesh.n_interior))
-        H = self.asm.h(r).H
+        H = self.asm.h(r)
         assert np.max(np.abs((J - H).toarray())) == 0.0
 
     def test_linear_jacobian_is_h_for_all_u(self):
@@ -164,7 +163,7 @@ class TestResidualJacobian:
         asm = fem.Assembler(self.mesh, self.met, spec)
         rng = np.random.default_rng(6)
         u = rng.standard_normal(self.mesh.n_interior)
-        assert np.allclose(asm.jacobian(0.5, u).toarray(), asm.h(0.5).H.toarray(),
+        assert np.allclose(asm.jacobian(0.5, u).toarray(), asm.h(0.5).toarray(),
                            atol=1e-14)
 
     def test_jacobian_matches_fd_of_residual(self):
@@ -186,7 +185,7 @@ class TestResidualJacobian:
         h = 1e-6
         for _ in range(5):
             d = rng.standard_normal(self.mesh.n_interior)
-            fd = (self.asm.energy(r, u + h * d) - self.asm.energy(r, u - h * d)) / (2 * h)
+            fd = (energy(self.asm, r, u + h * d) - energy(self.asm, r, u - h * d)) / (2 * h)
             assert fd == pytest.approx(float(res @ d), rel=1e-6)
 
     def test_energy_gradient_2d_curved(self):
@@ -199,55 +198,8 @@ class TestResidualJacobian:
         res = asm.residual(r, u)
         h = 1e-6
         d = rng.standard_normal(mesh.n_interior)
-        fd = (asm.energy(r, u + h * d) - asm.energy(r, u - h * d)) / (2 * h)
+        fd = (energy(asm, r, u + h * d) - energy(asm, r, u - h * d)) / (2 * h)
         assert fd == pytest.approx(float(res @ d), rel=1e-6)
-
-
-def reference_assembly(asm, r, u):
-    """(H(r), J(r, u), F(r, u), S, E(r, u)) by COO assembly with four-operand
-    einsum kernels: convert to CSR, slice the interior, symmetrize.
-
-    Oracle for the precomputed scatter and the matmul kernels of
-    ``fem.Assembler``; it reads only the assembler's geometry and
-    quadrature attributes and evaluates w through ``coefficients``.
-    """
-    mesh, met, spec = asm.mesh, asm.metric, asm.spec
-    nodes, phi = asm.elem_nodes, asm.mass_phi
-    ne, nv = nodes.shape
-    N = mesh.n_nodes
-    interior = np.flatnonzero(~mesh.boundary_nodes)
-    rows = np.repeat(nodes, nv, axis=1).ravel()
-    cols = np.tile(nodes, (1, nv)).ravel()
-
-    def matrix(elem_mats):
-        M = sp.coo_matrix((elem_mats.ravel(), (rows, cols)), shape=(N, N)).tocsr()
-        M = M[interior][:, interior]
-        return (0.5 * (M + M.T)).tocsr()
-
-    _, qg, d = asm.grad_pts.shape
-    A, _ = metric.coefficients(met, (r * asm.grad_pts).reshape(-1, d))
-    A = A.reshape(ne, qg, d, d)
-    Ke = np.einsum("tq,tqab,tia,tjb->tij", asm.grad_w, A, asm.grads, asm.grads)
-    qm = asm.mass_pts.shape[1]
-    pts = (r * asm.mass_pts).reshape(-1, d)
-    wq = asm.mass_w * metric.coefficients(met, pts)[1].reshape(ne, qm)
-    fq = spec.f_values(pts).reshape(ne, qm)
-    full = np.zeros(N)
-    full[interior] = u
-    ue = full[nodes]
-    uq = ue @ phi
-    H = matrix(Ke + r * r * np.einsum("tq,iq,jq->tij", wq * fq, phi, phi))
-    dvq = spec.dv_values(fq, uq)
-    J = matrix(Ke + r * r * np.einsum("tq,iq,jq->tij", wq * dvq, phi, phi))
-    gu = np.einsum("tia,ti->ta", asm.grads, ue)
-    Fe = np.einsum("tq,tia,tqab,tb->ti", asm.grad_w, asm.grads, A, gu)
-    Fe += r * r * np.einsum("tq,iq->ti", wq * spec.v_values(fq, uq), phi)
-    F = np.zeros(N)
-    np.add.at(F, nodes.ravel(), Fe.ravel())
-    S = matrix(np.einsum("t,tia,tja->tij", asm.grad_w.sum(axis=1), asm.grads, asm.grads))
-    E = 0.5 * np.einsum("tq,ta,tqab,tb->", asm.grad_w, gu, A, gu)
-    E += r * r * np.sum(wq * spec.g_values(fq, uq))
-    return H, J, F[interior], S, E
 
 
 @pytest.mark.parametrize("dim,res,kappa", [
@@ -259,15 +211,14 @@ def test_assembly_matches_reference(dim, res, kappa, r):
     met = metric.euclidean(dim) if kappa == 0.0 else metric.constant_curvature(dim, kappa)
     asm = fem.Assembler(mesh, met, problem.cubic_problem(-20.0, 1.5))
     u = 0.5 * np.random.default_rng(11).standard_normal(mesh.n_interior)
-    H, J, F, S, E = reference_assembly(asm, r, u)
-    for new, ref in ((asm.h(r).H, H), (asm.jacobian(r, u), J), (asm.gram(), S)):
+    H, J, F, S, _ = reference_assembly(asm, r, u)
+    for new, ref in ((asm.h(r), H), (asm.jacobian(r, u), J), (asm.gram(), S)):
         assert np.array_equal(new.indptr, ref.indptr)
         assert np.array_equal(new.indices, ref.indices)
         assert abs(new - ref).max() <= 1e-13 * abs(ref).max()
         assert abs(new - new.T).max() == 0.0
     res_new = asm.residual(r, u)
     assert np.max(np.abs(res_new - F)) <= 1e-13 * np.max(np.abs(F))
-    assert abs(asm.energy(r, u) - E) <= 1e-13 * abs(E)
 
 
 def test_1d_eigenvalue_convergence_is_second_order():
@@ -279,8 +230,7 @@ def test_1d_eigenvalue_convergence_is_second_order():
         mesh = fem.build_mesh(1, res)
         asm = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(1.0))
         K = asm.gram().toarray()
-        form_mass = asm.h(1.0)
-        M = form_mass.H.toarray() - K
+        M = asm.h(1.0).toarray() - K
         lam = la.eigh(K, M, subset_by_index=[0, 0])[0][0]
         errs.append(abs(lam - exact))
     rate1 = np.log2(errs[0] / errs[1])

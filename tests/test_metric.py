@@ -120,19 +120,6 @@ def test_rotational_equivariance():
         assert w_qx == pytest.approx(w_x, rel=1e-14)
 
 
-def test_callback_metric_passthrough():
-    def a_fn(P):
-        return np.broadcast_to(2.0 * np.eye(2), (P.shape[0], 2, 2))
-
-    def w_fn(P):
-        return np.full(P.shape[0], 3.0)
-
-    m = metric.callback_metric(2, a_fn, w_fn)
-    A, w = metric.coefficients(m, [[0.1, 0.2]])
-    assert np.allclose(A[0], 2.0 * np.eye(2))
-    assert w[0] == 3.0
-
-
 def test_one_dimensional_space_forms_are_flat():
     m = metric.constant_curvature(1, 1.0)
     A, w = metric.coefficients(m, [[0.7]])
@@ -140,23 +127,12 @@ def test_one_dimensional_space_forms_are_flat():
     assert w[0] == pytest.approx(1.0, rel=1e-15)
 
 
-def _callback_model():
-    def a_fn(P):
-        return (1.0 + np.sum(P * P, axis=1))[:, None, None] * np.eye(P.shape[1])
-
-    def w_fn(P):
-        return 1.0 + 0.5 * np.sum(P * P, axis=1) + 0.1 * P[:, 0]
-
-    return metric.callback_metric(2, a_fn, w_fn)
-
-
 @pytest.mark.parametrize("model", [
     metric.euclidean(2),
     metric.constant_curvature(2, 1.0),
     metric.constant_curvature(2, -1.0),
     metric.constant_curvature(3, 1.0),
-    _callback_model(),
-], ids=["euclidean", "kappa+1", "kappa-1", "kappa+1-3d", "callback"])
+], ids=["euclidean", "kappa+1", "kappa-1", "kappa+1-3d"])
 def test_weights_equal_coefficients_w(model):
     n = model.dim
     pts = np.zeros((5, n))

@@ -4,6 +4,8 @@ import scipy.sparse as sp
 
 from smalescan import fem, metric, problem, spectral
 
+import reference
+
 
 def random_symmetric_with_inertia(rng, n_neg, n_zero, n_pos, seed_scale=1.0):
     n = n_neg + n_zero + n_pos
@@ -22,7 +24,12 @@ def flat_assembler(mesh):
 
 class TestInertia:
     def test_diagonal_example(self):
-        assert spectral.inertia(np.diag([-2.0, 0.0, 3.0])) == 1
+        # An exactly zero pivot counts as nonnegative in the dense
+        # reference; the sparse route refuses the singular factor.
+        A = np.diag([-2.0, 0.0, 3.0])
+        assert reference.bunch_kaufman_inertia(A) == 1
+        with pytest.raises(spectral.FactorizationError):
+            spectral.inertia(A)
 
     def test_spd_stiffness(self):
         S = flat_assembler(fem.build_mesh(1, 50)).gram()
@@ -31,10 +38,10 @@ class TestInertia:
     def test_1d_oscillator_morse_index(self):
         # eigenvalues (k pi / 2)^2 - (2.3 pi)^2 are negative iff k <= 4
         mesh = fem.build_mesh(1, 2000)
-        form = fem.Assembler(mesh, metric.euclidean(1),
-                             problem.linear_problem(-(2.3 * np.pi) ** 2)).h(1.0)
-        assert spectral.inertia(form.H) == 4
-        assert spectral.inertia(form.H.toarray()) == 4
+        H = fem.Assembler(mesh, metric.euclidean(1),
+                          problem.linear_problem(-(2.3 * np.pi) ** 2)).h(1.0)
+        assert spectral.inertia(H) == 4
+        assert reference.bunch_kaufman_inertia(H.toarray()) == 4
 
     def test_congruence_invariance(self):
         rng = np.random.default_rng(1)
@@ -42,6 +49,7 @@ class TestInertia:
         for _ in range(10):
             C = rng.standard_normal((10, 10)) + 3.0 * np.eye(10)
             assert spectral.inertia(C @ A @ C.T) == 4
+            assert reference.bunch_kaufman_inertia(C @ A @ C.T) == 4
 
     def test_matches_dense_eigendecomposition(self):
         # Sylvester consistency on moderate random matrices
@@ -51,6 +59,7 @@ class TestInertia:
             A = A + A.T
             expect = int((np.linalg.eigvalsh(A) < 0).sum())
             assert spectral.inertia(A) == expect
+            assert reference.bunch_kaufman_inertia(A) == expect
 
     def test_sparse_matches_dense_across_radii(self):
         # sparse LDL^T against dense Bunch-Kaufman on every shipped geometry
@@ -62,18 +71,21 @@ class TestInertia:
         for mesh, met, f in scenarios:
             asm = fem.Assembler(mesh, met, problem.linear_problem(f))
             for r in np.linspace(1e-3, 1.0, 41):
-                H = asm.h(r).H
-                assert spectral.inertia(H) == spectral.inertia(H.toarray())
+                H = asm.h(r)
+                assert spectral.inertia(H) == reference.bunch_kaufman_inertia(H)
 
     def test_strict_mode_has_no_zero_band(self):
         A = np.diag([1e-14, -1e-14, 1.0])
         assert spectral.inertia(A) == 1
+        assert reference.bunch_kaufman_inertia(A) == 1
 
     def test_rejects_nonsymmetric(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         for H in (A, sp.csr_matrix(A)):
             with pytest.raises(ValueError):
                 spectral.inertia(H)
+        with pytest.raises(ValueError):
+            reference.bunch_kaufman_inertia(A)
 
     def test_sparse_zero_diagonal_raises(self):
         # no diagonal pivot order exists: SuperLU pivots off the diagonal
@@ -91,7 +103,7 @@ class TestInertia:
 class TestSmallestEigenpairs:
     def test_identity_pencil(self):
         S = flat_assembler(fem.build_mesh(1, 30)).gram()
-        pairs = spectral.smallest_eigenpairs(S, S, 3)
+        pairs = reference.smallest_eigenpairs(S, S, 3)
         assert np.allclose(pairs.values, 1.0, atol=1e-12)
 
     def test_1d_pencil_sign_pattern(self):
@@ -100,8 +112,7 @@ class TestSmallestEigenpairs:
         mesh = fem.build_mesh(1, 400)
         asm = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-c))
         for r in (0.3, 0.6, 0.95):
-            form = asm.h(r)
-            pairs = spectral.smallest_eigenpairs(form.H, form.S, 5)
+            pairs = reference.smallest_eigenpairs(asm.h(r), asm.gram(), 5)
             expect = np.sign([(k * np.pi / 2) ** 2 - c * r * r for k in range(1, 6)])
             assert np.array_equal(np.sign(pairs.values), expect)
 
@@ -110,34 +121,33 @@ class TestSmallestEigenpairs:
         asm = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-12.0))
         vals = []
         for r in np.linspace(0.05, 1.0, 15):
-            form = asm.h(r)
-            vals.append(spectral.smallest_eigenpairs(form.H, form.S, 1).values[0])
+            vals.append(reference.smallest_eigenpairs(asm.h(r), asm.gram(), 1).values[0])
         assert np.all(np.diff(vals) < 0.0)
 
     def test_s_orthonormal_and_residual(self):
         mesh = fem.build_mesh(2, 6)
         asm = fem.Assembler(mesh, metric.euclidean(2), problem.linear_problem(-20.0))
-        form = asm.h(0.8)
-        pairs = spectral.smallest_eigenpairs(form.H, form.S, 4)
-        G = pairs.vectors.T @ (form.S @ pairs.vectors)
+        H, S = asm.h(0.8), asm.gram()
+        pairs = reference.smallest_eigenpairs(H, S, 4)
+        G = pairs.vectors.T @ (S @ pairs.vectors)
         assert np.allclose(G, np.eye(4), atol=1e-10)
         for j, lam in enumerate(pairs.values):
             v = pairs.vectors[:, j]
-            num = np.linalg.norm(form.H @ v - lam * (form.S @ v))
-            assert num / np.linalg.norm(form.H @ v) <= 1e-10
+            num = np.linalg.norm(H @ v - lam * (S @ v))
+            assert num / np.linalg.norm(H @ v) <= 1e-10
 
     def test_rejects_bad_k(self):
         S = flat_assembler(fem.build_mesh(1, 10)).gram()
         with pytest.raises(ValueError):
-            spectral.smallest_eigenpairs(S, S, 0)
+            reference.smallest_eigenpairs(S, S, 0)
         with pytest.raises(ValueError):
-            spectral.smallest_eigenpairs(S, S, 100)
+            reference.smallest_eigenpairs(S, S, 100)
 
     def test_rejects_indefinite_gram(self):
         H = np.eye(3)
         S_bad = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(spectral.FactorizationError):
-            spectral.smallest_eigenpairs(H, S_bad, 2)
+            reference.smallest_eigenpairs(H, S_bad, 2)
 
 
 class TestKernelEigenpairs:
@@ -145,40 +155,41 @@ class TestKernelEigenpairs:
         c = (2.3 * np.pi) ** 2
         mesh = fem.build_mesh(1, 500)
         asm = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-c))
-        form = asm.h(1.0 / 4.6 + 1e-6)
-        pairs = spectral.kernel_eigenpairs(form.H, form.S, 1)
-        dense = spectral.smallest_eigenpairs(form.H, form.S, 1)
+        H, S = asm.h(1.0 / 4.6 + 1e-6), asm.gram()
+        pairs = spectral.kernel_eigenpairs(H, S, 1)
+        dense = reference.smallest_eigenpairs(H, S, 1)
         assert pairs.values[0] == pytest.approx(dense.values[0], rel=1e-8)
         # relative residual ||H v - lambda S v|| / (||H||_inf ||v||)
         v, lam = pairs.vectors[:, 0], pairs.values[0]
-        h_inf = abs(form.H).sum(axis=1).max()
-        res = np.linalg.norm(form.H @ v - lam * (form.S @ v)) / (h_inf * np.linalg.norm(v))
+        h_inf = abs(H).sum(axis=1).max()
+        res = np.linalg.norm(H @ v - lam * (S @ v)) / (h_inf * np.linalg.norm(v))
         assert res <= 1e-12
 
     def test_multiplicity_two_subspace(self):
         mesh = fem.build_mesh(2, 14)
         asm = fem.Assembler(mesh, metric.euclidean(2), problem.linear_problem(-36.0))
         # near the first multiplicity-2 crossing j_{1,1}/6
-        form = asm.h(0.6388)
-        pairs = spectral.kernel_eigenpairs(form.H, form.S, 2)
-        G = pairs.vectors.T @ (form.S @ pairs.vectors)
+        H, S = asm.h(0.6388), asm.gram()
+        pairs = spectral.kernel_eigenpairs(H, S, 2)
+        G = pairs.vectors.T @ (S @ pairs.vectors)
         assert np.allclose(G, np.eye(2), atol=1e-9)
-        dense = spectral.smallest_eigenpairs(form.H, form.S, 8)
+        dense = reference.smallest_eigenpairs(H, S, 8)
         near = np.sort(np.abs(dense.values))[:2]
         assert np.allclose(np.sort(np.abs(pairs.values)), near, rtol=1e-6)
 
     def test_deterministic(self):
         mesh = fem.build_mesh(1, 200)
         asm = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-30.0))
-        form = asm.h(0.5)
-        a = spectral.kernel_eigenpairs(form.H, form.S, 2)
-        b = spectral.kernel_eigenpairs(form.H, form.S, 2)
+        H, S = asm.h(0.5), asm.gram()
+        a = spectral.kernel_eigenpairs(H, S, 2)
+        b = spectral.kernel_eigenpairs(H, S, 2)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
 
-    def test_raises_when_sweeps_run_out(self):
+    def test_raises_when_sweeps_run_out(self, monkeypatch):
         # The convergence test compares two sweeps, so one sweep never passes it.
-        mesh = fem.build_mesh(1, 200)
-        form = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-30.0)).h(0.5)
+        asm = fem.Assembler(fem.build_mesh(1, 200), metric.euclidean(1),
+                            problem.linear_problem(-30.0))
+        monkeypatch.setattr(spectral, "KERNEL_MAX_SWEEPS", 1)
         with pytest.raises(spectral.FactorizationError):
-            spectral.kernel_eigenpairs(form.H, form.S, 1, max_iter=1)
+            spectral.kernel_eigenpairs(asm.h(0.5), asm.gram(), 1)
