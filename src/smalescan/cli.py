@@ -18,7 +18,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,8 +40,6 @@ EXIT_VERIFY = 2
 EXIT_DEGENERATE = 3
 
 SUBCOMMANDS = ("scan", "conjugate", "crossing", "verify-index", "bifurcate", "all")
-
-THREADS_ENV = "SMALE_SCAN_THREADS"
 
 
 class ConfigError(Exception):
@@ -101,8 +98,12 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -159,19 +160,30 @@ def _validate(cfg: RunConfig):
         raise ConfigError("branch.steps must be >= 2")
     if cfg.branch_step_size <= 0.0:
         raise ConfigError("branch.step_size must be positive")
-    try:
-        field = problem.parse_field(cfg.problem_f, cfg.mesh_dim)
-    except ValueError as exc:
-        raise ConfigError(f"problem.f: {exc}") from exc
+    _, spec = _models(cfg)
     # Center, axis ends and a diagonal point of the unit ball.
     d = cfg.mesh_dim
     probe = np.vstack([np.zeros(d), np.eye(d), -np.eye(d), np.full(d, d ** -0.5)])
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(field(probe))):
+        if not np.all(np.isfinite(spec.f(probe))):
             raise ConfigError("problem.f is not finite on the unit ball")
-    if cfg.metric_kind == "constant_curvature" and cfg.metric_kappa > 0.0:
-        if np.sqrt(cfg.metric_kappa) >= np.pi:
-            raise ConfigError("metric.kappa too large: need sqrt(kappa) < pi")
+
+
+def _models(cfg: RunConfig):
+    """(MetricModel, ProblemSpec) of a config: ``euclidean`` is kappa = 0
+    and ``linear`` is b = 0.  A value the library rejects raises
+    ConfigError naming its key."""
+    kappa = cfg.metric_kappa if cfg.metric_kind == "constant_curvature" else 0.0
+    b = cfg.problem_cubic_b if cfg.problem_nonlinearity == "cubic" else 0.0
+    try:
+        met = metric.MetricModel(cfg.metric_dim, kappa)
+    except ValueError as exc:
+        raise ConfigError(f"metric.kappa: {exc}") from exc
+    try:
+        f = problem.parse_field(cfg.problem_f, cfg.mesh_dim)
+    except ValueError as exc:
+        raise ConfigError(f"problem.f: {exc}") from exc
+    return met, problem.ProblemSpec(f, b)
 
 
 def _fmt(x) -> str:
@@ -197,16 +209,7 @@ class Pipeline:
         self.out = out_dir
         self.threads = threads
         mesh = fem.build_mesh(cfg.mesh_dim, cfg.mesh_resolution)
-        if cfg.metric_kind == "euclidean":
-            met = metric.euclidean(cfg.metric_dim)
-        else:
-            met = metric.constant_curvature(cfg.metric_dim, cfg.metric_kappa)
-        f = problem.parse_field(cfg.problem_f, cfg.mesh_dim)
-        if cfg.problem_nonlinearity == "linear":
-            spec = problem.linear_problem(f)
-        else:
-            spec = problem.cubic_problem(f, cfg.problem_cubic_b)
-        self.assembler = Assembler(mesh, met, spec)
+        self.assembler = Assembler(mesh, *_models(cfg))
         self._scan = None
         self._conjugates = None
 
@@ -360,8 +363,6 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
             conj_mod.endpoint_kernel_gap(pipe.assembler)
         if "scan" in stages:
             pipe.write_scan()
-        if set(stages) & {"conjugate", "crossing", "verify-index", "bifurcate"}:
-            pipe.conjugates()
         if "conjugate" in stages:
             pipe.write_conjugates()
         if "crossing" in stages:
@@ -417,31 +418,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the run config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"scan worker threads (fallback: ${THREADS_ENV}, default 1)",
+        "--threads", type=int, default=1, help="scan worker threads (default 1)"
     )
     try:
         args = parser.parse_args(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    threads = args.threads
-    if threads is None:
-        try:
-            threads = int(os.environ.get(THREADS_ENV, "1"))
-        except ValueError:
-            print(
-                f"error: {THREADS_ENV} must be an integer, got "
-                f"{os.environ[THREADS_ENV]!r}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-    if threads < 1:
-        print(f"error: thread count must be >= 1, got {threads}", file=sys.stderr)
+    if args.threads < 1:
+        print(f"error: thread count must be >= 1, got {args.threads}", file=sys.stderr)
         return EXIT_USAGE
-    return run(args.subcommand, args.config, out_dir=args.out, threads=threads)
+    return run(args.subcommand, args.config, out_dir=args.out, threads=args.threads)
 
 
 def main_entry():

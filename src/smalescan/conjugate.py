@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -265,13 +265,11 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
     return out
 
 
-def crossing_form_fd(
-    asm: Assembler, conj: ConjugateRadius, delta: Optional[float] = None
-) -> np.ndarray:
+def crossing_form_fd(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
     """Crossing form on the kernel by central differencing of H(r).
 
     Gamma_ij = (u_i^T H(r*+d) u_j - u_i^T H(r*-d) u_j) / (2 d), with the
-    default step d = 1e-4 r*.  H(r) is defined on [0, 1] only, so when
+    step d = 1e-4 r*.  H(r) is defined on [0, 1] only, so when
     r* + d > 1 the second-order backward stencil
     (3 H(r*) - 4 H(r*-d) + H(r*-2d)) / (2 d) takes its place.  A
     Richardson audit at d/2 must agree to 1 percent; for forms
@@ -279,10 +277,7 @@ def crossing_form_fd(
     audit is trivially satisfied.
     """
     r0 = conj.r_star
-    if delta is None:
-        delta = 1e-4 * r0
-    if delta <= 0.0:
-        raise ValueError("finite-difference step must be positive")
+    delta = 1e-4 * r0
     V = conj.kernel_basis
 
     def q(r):

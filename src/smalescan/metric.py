@@ -2,9 +2,9 @@
 
 All downstream assembly only ever needs two fields on the unit ball:
 the coefficient matrix A(x) = g^{jk}(x) |g(x)|^(1/2) and the scalar
-weight w(x) = |g(x)|^(1/2).  Built-in models are the Euclidean metric
-and the constant-curvature space forms, for which both fields have
-closed forms in normal coordinates:
+weight w(x) = |g(x)|^(1/2).  The model is the space form of sectional
+curvature k, Euclidean being k = 0, for which both fields have closed
+forms in normal coordinates:
 
     g(x)   = P_rad + (s_k(t)/t)^2 P_tan,      t = |x|,
     w(x)   = (s_k(t)/t)^(n-1),
@@ -37,66 +37,62 @@ __all__ = [
 # avoid cancellation; quadrature points sit arbitrarily close to 0.
 SERIES_CUTOFF = 1e-4
 
-EUCLIDEAN = "euclidean"
-CONSTANT_CURVATURE = "constant_curvature"
+# sinh(sqrt(-kappa) t) overflows a double once sqrt(-kappa) t passes
+# about 710.5, so hyperbolic curvatures stop short of it on the unit ball.
+MAX_SQRT_NEG_KAPPA = 700.0
 
 
 @dataclass(frozen=True)
 class MetricModel:
-    """A metric in normal coordinates, reduced to its (A, w) fields.
+    """The space form of curvature ``kappa``, reduced to its (A, w) fields.
 
     Parameters
     ----------
-    kind : str
-        One of ``"euclidean"``, ``"constant_curvature"``.
     dim : int
         Ambient dimension n >= 1.
     kappa : float
-        Sectional curvature; only meaningful for ``constant_curvature``.
+        Sectional curvature; 0 is the Euclidean metric.
     """
 
-    kind: str
     dim: int
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, CONSTANT_CURVATURE):
-            raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError(f"metric dimension must be >= 1, got {self.dim}")
-        if self.kind == CONSTANT_CURVATURE and self.kappa > 0.0:
+        if self.kappa > 0.0 and np.sqrt(self.kappa) >= np.pi:
             # The unit ball must stay strictly inside the injectivity
             # radius pi/sqrt(kappa) of the sphere.
-            if np.sqrt(self.kappa) >= np.pi:
-                raise ValueError(
-                    "constant curvature kappa = %g puts the unit ball outside "
-                    "the injectivity radius (need sqrt(kappa) < pi)" % self.kappa
-                )
+            raise ValueError(
+                "constant curvature kappa = %g puts the unit ball outside "
+                "the injectivity radius (need sqrt(kappa) < pi)" % self.kappa
+            )
+        if self.kappa < 0.0 and np.sqrt(-self.kappa) >= MAX_SQRT_NEG_KAPPA:
+            raise ValueError(
+                "constant curvature kappa = %g overflows the metric weight on "
+                "the unit ball (need sqrt(-kappa) < %g)"
+                % (self.kappa, MAX_SQRT_NEG_KAPPA)
+            )
 
 
 def euclidean(dim: int) -> MetricModel:
-    """Flat metric: A = I, w = 1 everywhere."""
-    return MetricModel(EUCLIDEAN, dim)
+    """Flat metric, curvature 0: A = I, w = 1 everywhere."""
+    return MetricModel(dim)
 
 
 def constant_curvature(dim: int, kappa: float) -> MetricModel:
     """Space form of sectional curvature ``kappa`` in normal coordinates."""
-    if kappa == 0.0:
-        return MetricModel(CONSTANT_CURVATURE, dim, 0.0)
-    return MetricModel(CONSTANT_CURVATURE, dim, float(kappa))
+    return MetricModel(dim, float(kappa))
 
 
 def _sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
-    """s_k(t)/t, series-evaluated below SERIES_CUTOFF.
+    """s_k(t)/t for kappa != 0, series-evaluated below SERIES_CUTOFF.
 
     Uniform in the sign of kappa through u = kappa * t**2:
     s_k(t)/t = 1 - u/6 + u^2/120 - u^3/5040 + ...
     """
-    t = np.asarray(t, dtype=float)
     u = kappa * t * t
     series = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
-    if kappa == 0.0:
-        return np.ones_like(t)
     sk = np.sqrt(abs(kappa))
     with np.errstate(invalid="ignore", divide="ignore"):
         if kappa > 0.0:
@@ -107,12 +103,10 @@ def _sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
 
 
 def _inv_sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
-    """t/s_k(t) by 4-term series below the cutoff, closed form above."""
-    t = np.asarray(t, dtype=float)
+    """t/s_k(t) for kappa != 0 by 4-term series below the cutoff, closed
+    form above."""
     u = kappa * t * t
     series = 1.0 + u / 6.0 + 7.0 * u * u / 360.0 + 31.0 * u ** 3 / 15120.0
-    if kappa == 0.0:
-        return np.ones_like(t)
     sk = np.sqrt(abs(kappa))
     with np.errstate(invalid="ignore", divide="ignore"):
         if kappa > 0.0:
@@ -139,7 +133,7 @@ def _weights(model: MetricModel, P: np.ndarray, t: np.ndarray) -> np.ndarray:
     """w at checked points; (s_k(t)/t)^(n-1) for the space forms, whose
     series branch gives exactly 1 at the center."""
     m, n = P.shape
-    if model.kind == EUCLIDEAN or model.kappa == 0.0:
+    if model.kappa == 0.0:
         return np.ones(m)
     return _sin_ratio(model.kappa, t) ** (n - 1)
 
@@ -174,12 +168,13 @@ def coefficients(model: MetricModel, points: np.ndarray):
     m, n = P.shape
     w = _weights(model, P, t)
 
-    if model.kind == EUCLIDEAN or model.kappa == 0.0:
+    if model.kappa == 0.0:
+        # Flat: A = I exactly; the ratios below need kappa != 0.
         return np.broadcast_to(np.eye(n), (m, n, n)).copy(), w
 
     qi = _inv_sin_ratio(model.kappa, t)     # t/s(t)
-    # Radial projector e e^T, with e = x/t; at t = 0 both projector
-    # coefficients coincide (A -> I), so any unit e works there.
+    # Radial projector e e^T, with e = x/t.  At t = 0, e = 0 and the
+    # series give w = qi = 1, so A is exactly I there.
     safe_t = np.where(t > 0.0, t, 1.0)
     e = P / safe_t[:, None]
     ee = e[:, :, None] * e[:, None, :]
@@ -187,7 +182,4 @@ def coefficients(model: MetricModel, points: np.ndarray):
     tan_coef = (w * qi * qi)[:, None, None]
     rad_coef = w[:, None, None]
     A = tan_coef * (eye - ee) + rad_coef * ee
-    at_center = t == 0.0
-    if np.any(at_center):
-        A[at_center] = np.eye(n)
     return A, w

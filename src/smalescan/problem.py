@@ -1,11 +1,12 @@
 """Potential f and nonlinearity V.
 
 The linearized problem only sees f; the semilinear problem sees
-V(y, xi) with V(y, 0) = 0 and dV/dxi(y, 0) = f(y).  Two nonlinearities
-are built in:
+V(y, xi) with V(y, 0) = 0 and dV/dxi(y, 0) = f(y).  The nonlinearity
+is the cubic
 
-    linear      V = f(y) xi
-    cubic(b)    V = f(y) xi + b xi^3
+    V = f(y) xi + b xi^3,
+
+and the linear problem is its case b = 0.
 
 Potentials are either constants or small closed-form expressions in
 the coordinates (see ``parse_field``), so that configurations stay
@@ -27,25 +28,17 @@ __all__ = [
     "parse_field",
 ]
 
-LINEAR = "linear"
-CUBIC = "cubic"
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Potential and nonlinearity of the semilinear problem.
+    """Potential f and cubic coefficient b of V = f xi + b xi^3.
 
     ``f`` is either a constant or a batched callable mapping points of
     shape (m, n) to values of shape (m,).
     """
 
     f: Union[float, Callable[[np.ndarray], np.ndarray]]
-    nonlinearity: str = LINEAR
     cubic_b: float = 0.0
-
-    def __post_init__(self):
-        if self.nonlinearity not in (LINEAR, CUBIC):
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
 
     def f_values(self, points: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
@@ -55,22 +48,19 @@ class ProblemSpec:
         return np.full(P.shape[0], float(self.f))
 
     def v_values(self, fvals: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        if self.nonlinearity == LINEAR:
-            return fvals * xi
         return fvals * xi + self.cubic_b * xi ** 3
 
     def dv_values(self, fvals: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        if self.nonlinearity == LINEAR:
-            return fvals * np.ones_like(xi)
         return fvals + 3.0 * self.cubic_b * xi ** 2
 
 
 def linear_problem(f) -> ProblemSpec:
-    return ProblemSpec(f, LINEAR, 0.0)
+    """V = f xi: the cubic with b = 0."""
+    return ProblemSpec(f)
 
 
 def cubic_problem(f, b: float) -> ProblemSpec:
-    return ProblemSpec(f, CUBIC, float(b))
+    return ProblemSpec(f, float(b))
 
 
 # ---------------------------------------------------------------------------

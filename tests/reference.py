@@ -28,7 +28,6 @@ import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
 from smalescan import branch, metric, spectral
-from smalescan.problem import LINEAR
 
 SMALL_NORM = 1e-2
 MULTISTART_SEED = 20240801
@@ -105,8 +104,6 @@ def smallest_eigenpairs(H, S, k: int) -> spectral.EigenPairs:
 
 def g_values(spec, fvals, xi):
     """Primitive G(y, xi) of V in xi with G(y, 0) = 0."""
-    if spec.nonlinearity == LINEAR:
-        return 0.5 * fvals * xi ** 2
     return 0.5 * fvals * xi ** 2 + 0.25 * spec.cubic_b * xi ** 4
 
 

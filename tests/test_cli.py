@@ -246,11 +246,15 @@ class TestMainEntry:
     def test_usage_error_exit_code(self):
         assert cli.main(["scan"]) == cli.EXIT_USAGE  # missing --config
 
-    def test_threads_env_fallback(self, config_file, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        out = tmp_path / "o"
-        code = cli.main(["scan", "--config", str(config_file), "--out", str(out)])
-        assert code == cli.EXIT_OK
+    def test_two_threads_scan_matches_one_thread(self, config_file, tmp_path):
+        scans = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            code = cli.main(["scan", "--config", str(config_file), "--out", str(out),
+                             "--threads", threads])
+            assert code == cli.EXIT_OK
+            scans.append((out / "scan.csv").read_bytes())
+        assert scans[0] == scans[1]
 
     def test_subprocess_invocation(self, config_file, tmp_path):
         out = tmp_path / "o"
@@ -270,11 +274,30 @@ class TestMainEntry:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (out / "scan.csv").exists()
 
-    def test_non_integer_threads_env_exits_1(self, config_file, tmp_path, monkeypatch,
-                                             capsys):
-        monkeypatch.setenv(cli.THREADS_ENV, "two")
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(CONFIG_1D.encode() + b"# caf\xe9\n")
         out = tmp_path / "o"
-        code = cli.main(["scan", "--config", str(config_file), "--out", str(out)])
+        code = cli.main(["scan", "--config", str(path), "--out", str(out)])
         assert code == cli.EXIT_USAGE
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and err.count("\n") == 1
         assert not (out / "scan.csv").exists()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_overflowing_negative_kappa_exits_1(self, tmp_path, capsys, dim):
+        path = tmp_path / "hyp.cfg"
+        path.write_text(
+            "metric.kind = constant_curvature\n"
+            f"metric.dim = {dim}\n"
+            "metric.kappa = -1e6\n"
+            "problem.f = -36.0\n"
+            f"mesh.dim = {dim}\n"
+            "mesh.resolution = 8\n"
+        )
+        out = tmp_path / "o"
+        code = cli.main(["all", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: metric.kappa:") and err.count("\n") == 1
+        assert not out.exists()

@@ -177,12 +177,6 @@ class TestCrossingForms:
         expect = -2.0 * C_OSC * r_star * float(V[:, 0] @ (M @ V[:, 0]))
         assert gamma[0, 0] == pytest.approx(expect, rel=1e-6)
 
-    def test_fd_rejects_bad_delta(self, osc_1d):
-        asm = osc_1d
-        cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
-        with pytest.raises(ValueError):
-            conjugate.crossing_form_fd(asm, cj, delta=0.0)
-
     def test_boundary_matches_continuum_closed_form(self):
         # continuum: both routes give -2/r* for the S-normalized kernel
         mesh = fem.build_mesh(1, 2000)

@@ -11,6 +11,10 @@ def test_euclidean_identity():
     assert w[0] == 1.0
 
 
+def test_euclidean_is_curvature_zero():
+    assert metric.euclidean(2) == metric.constant_curvature(2, 0.0)
+
+
 def test_zero_curvature_collapses_to_flat():
     m = metric.constant_curvature(3, 0.0)
     A, w = metric.coefficients(m, [[0.2, -0.1, 0.4]])
@@ -72,6 +76,15 @@ def test_domain_errors():
         metric.constant_curvature(2, np.pi ** 2)
     with pytest.raises(ValueError):
         metric.constant_curvature(2, 12.0)
+
+
+def test_hyperbolic_curvature_bound():
+    # sinh(sqrt(-kappa)) overflows a double past sqrt(-kappa) ~ 710.5
+    with pytest.raises(ValueError, match="sqrt\\(-kappa\\) < 700"):
+        metric.constant_curvature(2, -1e6)
+    m = metric.constant_curvature(2, -(699.0 ** 2))
+    A, w = metric.coefficients(m, [[1.0, 0.0], [0.0, 0.5]])
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(w))
 
 
 def test_symmetry_exact_and_spd_at_random_points():

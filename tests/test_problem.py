@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smalescan import problem
+from smalescan import fem, metric, problem
 
 from reference import g_values
 
@@ -25,6 +25,17 @@ def test_cubic_algebraic_identity():
     spec = problem.cubic_problem(-4.0, 1.0)
     fvals = spec.f_values(0.1 * np.array([[0.0, 0.0]]))
     assert spec.v_values(fvals, np.array([2.0]))[0] == pytest.approx(0.0)
+
+
+def test_linear_is_cubic_with_zero_b():
+    f = -52.379
+    assert problem.linear_problem(f) == problem.cubic_problem(f, 0.0)
+    mesh = fem.build_mesh(1, 8)
+    lin = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(f))
+    cub = fem.Assembler(mesh, metric.euclidean(1), problem.cubic_problem(f, 0.0))
+    u = np.linspace(-0.7, 0.9, mesh.n_interior)
+    assert np.array_equal(lin.residual(0.6, u), cub.residual(0.6, u))
+    assert np.array_equal(lin.jacobian(0.6, u).toarray(), cub.jacobian(0.6, u).toarray())
 
 
 def test_values_at_zero():
