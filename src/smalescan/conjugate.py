@@ -6,7 +6,8 @@ eigenvalue branches cross zero transversally downward, so the negative
 count n_neg(H(r)) is a nondecreasing step function of r.  The count has
 one definition, ``_n_neg_evaluator``: the scan evaluates it once per
 grid point and checks that it rises, and bisection starts from the
-scan's counts at the ends of every rising grid cell.
+scan's counts at the ends of every rising grid cell; its
+split-and-recurse alone separates crossings that share a cell.
 
 The crossing form on the kernel at r* is computed two independent
 ways: as the central difference of the assembled bilinear form in r
@@ -214,9 +215,9 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
     """Conjugate radii inside every rising cell of a scan.
 
     Bisection starts from the scan's counts at the cell ends and runs on
-    the same strict negative count.  A cell with jump >= 2 is pre-refined
-    tenfold to separate near-coincident crossings; sub-brackets that
-    keep a jump >= 2 down to the final width are genuine multiple
+    the same strict negative count; its split-and-recurse separates any
+    two crossings more than about half the tolerance apart.  Brackets
+    that keep a jump >= 2 down to the final width are genuine multiple
     crossings, and their multiplicity is the jump itself.  Kernel bases
     come from the smallest-|lambda| eigenvectors at the final midpoint.
     Brackets shrink to BISECTION_TOL of the mesh dimension.
@@ -226,42 +227,25 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
     S = asm.gram()
     out = []
     for r_lo, n_lo, r_hi, n_hi in scan_result.brackets():
-        segments = [(r_lo, n_lo, r_hi, n_hi)]
-        if n_hi - n_lo >= 2 and (r_hi - r_lo) > 10.0 * tol:
-            grid = np.linspace(r_lo, r_hi, 11)
-            counts = [n_lo] + [n_neg(r) for r in grid[1:-1]] + [n_hi]
-            for i in range(10):
-                _check_rise(grid[i], counts[i], grid[i + 1], counts[i + 1])
-            segments = [
-                (grid[i], int(counts[i]), grid[i + 1], int(counts[i + 1]))
-                for i in range(10)
-                if counts[i + 1] > counts[i]
-            ]
-
-        for lo, nlo, hi, nhi in segments:
-            for blo, bhi, bnlo, bnhi in _bisect(n_neg, lo, nlo, hi, nhi, tol):
-                m = bnhi - bnlo
-                r_star = 0.5 * (blo + bhi)
-                H = asm.h(r_star)
-                basis = kernel_eigenpairs(H, S, m).vectors
-                Hnorm = abs(H).max()
-                for j in range(m):
-                    v = basis[:, j]
-                    rel = np.linalg.norm(H @ v) / (Hnorm * math.sqrt(v @ (S @ v)))
-                    if rel > KERNEL_RESIDUAL_TOL:
-                        raise VerificationError(
-                            f"kernel vector residual {rel:.2e} exceeds "
-                            f"{KERNEL_RESIDUAL_TOL} at r* = {r_star}"
-                        )
-                out.append(
-                    ConjugateRadius(
-                        r_star=r_star,
-                        multiplicity=m,
-                        kernel_basis=basis,
-                        bracket=(blo, bhi),
+        for blo, bhi, bnlo, bnhi in _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol):
+            m = bnhi - bnlo
+            r_star = 0.5 * (blo + bhi)
+            H = asm.h(r_star)
+            basis = kernel_eigenpairs(H, S, m).vectors
+            Hnorm = abs(H).max()
+            for j in range(m):
+                v = basis[:, j]
+                rel = np.linalg.norm(H @ v) / (Hnorm * math.sqrt(v @ (S @ v)))
+                if rel > KERNEL_RESIDUAL_TOL:
+                    raise VerificationError(
+                        f"kernel vector residual {rel:.2e} exceeds "
+                        f"{KERNEL_RESIDUAL_TOL} at r* = {r_star}"
                     )
+            out.append(
+                ConjugateRadius(
+                    r_star=r_star, multiplicity=m, kernel_basis=basis, bracket=(blo, bhi)
                 )
-    out.sort(key=lambda c: c.r_star)
+            )
     return out
 
 

@@ -137,8 +137,8 @@ class TestLocate:
         with pytest.raises(conjugate.VerificationError, match=r"drops from 2 at r = 0\.5"):
             conjugate._bisect(n_neg, 0.0, 0, 1.0, 1, 1e-8)
 
-    def test_pre_refinement_raises_on_count_drop(self, osc_1d, monkeypatch):
-        # 0 -> 3 -> 2 on [0.1, 0.9]: the tenfold pre-refinement grid sees the drop
+    def test_bisection_of_a_scan_cell_raises_on_count_drop(self, osc_1d, monkeypatch):
+        # 0 -> 3 -> 2 on [0.1, 0.9]: the first bisection midpoint sees the drop
         asm = osc_1d
         monkeypatch.setattr(
             conjugate, "_n_neg_evaluator",
