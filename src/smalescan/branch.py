@@ -64,10 +64,10 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
 
     The merit function is half the squared residual in the S-inverse
     (dual) norm; steps backtrack by halving until the Armijo decrease
-    holds.  Convergence means residual_norm <= NEWTON_TOL * (1 + ||H(r)||)
-    within NEWTON_MAX_ITERS steps.  A singular Jacobian or a stalled line
-    search ends the run with ``converged = False``; the caller decides
-    whether to reseed.
+    holds.  Convergence means residual_norm <= NEWTON_TOL * (1 + max|S|),
+    S the Gram matrix, within NEWTON_MAX_ITERS steps.  A singular Jacobian
+    or a stalled line search ends the run with ``converged = False``; the
+    caller decides whether to reseed.
     """
     S = asm.gram()
     lu_S = asm.gram_lu()
@@ -75,8 +75,7 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
     if u.shape != (S.shape[0],):
         raise ValueError(f"u0 has shape {u.shape}, expected ({S.shape[0]},)")
 
-    h_scale = abs(asm.h(r)).max()
-    tol_abs = NEWTON_TOL * (1.0 + h_scale)
+    tol_abs = NEWTON_TOL * (1.0 + abs(S).max())
 
     def dual_norm(res):
         z = lu_S.solve(res)

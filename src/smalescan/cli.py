@@ -58,11 +58,8 @@ def _to_bool(text: str) -> bool:
 # key -> (converter, default); REQUIRED means the config must set it.
 REQUIRED = object()
 _SCHEMA = {
-    "metric.kind": (str, "euclidean"),
-    "metric.dim": (int, REQUIRED),
     "metric.kappa": (float, 0.0),
     "problem.f": (str, REQUIRED),
-    "problem.nonlinearity": (str, "linear"),
     "problem.cubic_b": (float, 0.0),
     "mesh.dim": (int, REQUIRED),
     "mesh.resolution": (int, REQUIRED),
@@ -77,11 +74,8 @@ _SCHEMA = {
 
 @dataclass
 class RunConfig:
-    metric_kind: str
-    metric_dim: int
     metric_kappa: float
     problem_f: str
-    problem_nonlinearity: str
     problem_cubic_b: float
     mesh_dim: int
     mesh_resolution: int
@@ -134,14 +128,6 @@ def load_config(path) -> RunConfig:
 def _validate(cfg: RunConfig):
     if cfg.mesh_dim not in (1, 2):
         raise ConfigError(f"mesh.dim must be 1 or 2, got {cfg.mesh_dim}")
-    if cfg.metric_dim != cfg.mesh_dim:
-        raise ConfigError(
-            f"metric.dim = {cfg.metric_dim} must equal mesh.dim = {cfg.mesh_dim}"
-        )
-    if cfg.metric_kind not in ("euclidean", "constant_curvature"):
-        raise ConfigError(f"metric.kind must be euclidean or constant_curvature")
-    if cfg.problem_nonlinearity not in ("linear", "cubic"):
-        raise ConfigError("problem.nonlinearity must be linear or cubic")
     min_resolution = 2 if cfg.mesh_dim == 1 else 1
     if cfg.mesh_resolution < min_resolution:
         raise ConfigError(
@@ -170,20 +156,17 @@ def _validate(cfg: RunConfig):
 
 
 def _models(cfg: RunConfig):
-    """(MetricModel, ProblemSpec) of a config: ``euclidean`` is kappa = 0
-    and ``linear`` is b = 0.  A value the library rejects raises
-    ConfigError naming its key."""
-    kappa = cfg.metric_kappa if cfg.metric_kind == "constant_curvature" else 0.0
-    b = cfg.problem_cubic_b if cfg.problem_nonlinearity == "cubic" else 0.0
+    """(MetricModel, ProblemSpec) of a config.  A value the library
+    rejects raises ConfigError naming its key."""
     try:
-        met = metric.MetricModel(cfg.metric_dim, kappa)
+        met = metric.MetricModel(cfg.metric_kappa)
     except ValueError as exc:
         raise ConfigError(f"metric.kappa: {exc}") from exc
     try:
         f = problem.parse_field(cfg.problem_f, cfg.mesh_dim)
     except ValueError as exc:
         raise ConfigError(f"problem.f: {exc}") from exc
-    return met, problem.ProblemSpec(f, b)
+    return met, problem.ProblemSpec(f, cfg.problem_cubic_b)
 
 
 def _fmt(x) -> str:

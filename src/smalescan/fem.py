@@ -6,7 +6,7 @@ Discretization is piecewise-linear on a uniform partition of [-1, 1] in
 mesh refinement, never from element order.
 
 For a mesh, metric and problem the assembler produces, at any scale
-parameter r in [0, 1]:
+parameter r in [0, 1], on the ball of the mesh's dimension:
 
     H(r)    matrix of the quadratic form
             h_r(u) = int A(r x) grad u . grad u + r^2 int w(r x) f(r x) u^2
@@ -253,10 +253,6 @@ class Assembler:
     """
 
     def __init__(self, mesh: Mesh, metric: MetricModel, spec: ProblemSpec):
-        if metric.dim != mesh.dim:
-            raise ValueError(
-                f"metric dimension {metric.dim} != mesh dimension {mesh.dim}"
-            )
         self.mesh = mesh
         self.metric = metric
         self.spec = spec

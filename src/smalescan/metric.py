@@ -4,7 +4,7 @@ All downstream assembly only ever needs two fields on the unit ball:
 the coefficient matrix A(x) = g^{jk}(x) |g(x)|^(1/2) and the scalar
 weight w(x) = |g(x)|^(1/2).  The model is the space form of sectional
 curvature k, Euclidean being k = 0, for which both fields have closed
-forms in normal coordinates:
+forms in normal coordinates, n being the number of coordinates of x:
 
     g(x)   = P_rad + (s_k(t)/t)^2 P_tan,      t = |x|,
     w(x)   = (s_k(t)/t)^(n-1),
@@ -44,22 +44,12 @@ MAX_SQRT_NEG_KAPPA = 700.0
 
 @dataclass(frozen=True)
 class MetricModel:
-    """The space form of curvature ``kappa``, reduced to its (A, w) fields.
+    """The space form of sectional curvature ``kappa`` (0 is Euclidean),
+    reduced to its (A, w) fields; n is read off the evaluation points."""
 
-    Parameters
-    ----------
-    dim : int
-        Ambient dimension n >= 1.
-    kappa : float
-        Sectional curvature; 0 is the Euclidean metric.
-    """
-
-    dim: int
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"metric dimension must be >= 1, got {self.dim}")
         if self.kappa > 0.0 and np.sqrt(self.kappa) >= np.pi:
             # The unit ball must stay strictly inside the injectivity
             # radius pi/sqrt(kappa) of the sphere.
@@ -75,14 +65,14 @@ class MetricModel:
             )
 
 
-def euclidean(dim: int) -> MetricModel:
+def euclidean() -> MetricModel:
     """Flat metric, curvature 0: A = I, w = 1 everywhere."""
-    return MetricModel(dim)
+    return MetricModel()
 
 
-def constant_curvature(dim: int, kappa: float) -> MetricModel:
+def constant_curvature(kappa: float) -> MetricModel:
     """Space form of sectional curvature ``kappa`` in normal coordinates."""
-    return MetricModel(dim, float(kappa))
+    return MetricModel(float(kappa))
 
 
 def _sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
@@ -116,13 +106,10 @@ def _inv_sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
     return np.where(t < SERIES_CUTOFF, series, closed)
 
 
-def _checked_points(model: MetricModel, points):
-    """Points as an (m, n) float array and their norms, after the checks
-    shared by ``weights`` and ``coefficients``."""
+def _checked_points(points):
+    """Points as an (m, n) float array and their norms, after the
+    unit-ball check shared by ``weights`` and ``coefficients``."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    n = P.shape[1]
-    if n != model.dim:
-        raise ValueError(f"points have dimension {n}, metric has {model.dim}")
     t = np.linalg.norm(P, axis=1)
     if np.any(t > 1.0 + 1e-12):
         raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.max())
@@ -145,7 +132,7 @@ def weights(model: MetricModel, points: np.ndarray) -> np.ndarray:
     they skip building A.  Same checks and errors as ``coefficients`` on
     the closed unit ball; returns an array of shape (m,).
     """
-    return _weights(model, *_checked_points(model, points))
+    return _weights(model, *_checked_points(points))
 
 
 def coefficients(model: MetricModel, points: np.ndarray):
@@ -164,7 +151,7 @@ def coefficients(model: MetricModel, points: np.ndarray):
     A : ndarray, shape (m, n, n)
     w : ndarray, shape (m,), the same values as ``weights``
     """
-    P, t = _checked_points(model, points)
+    P, t = _checked_points(points)
     m, n = P.shape
     w = _weights(model, P, t)
 

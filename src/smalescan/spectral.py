@@ -129,14 +129,18 @@ def kernel_eigenpairs(H, S, k: int) -> EigenPairs:
     theta_old = None
     for _ in range(KERNEL_MAX_SWEEPS):
         Y = lu.solve(Sc @ X)
-        # S-orthonormalize the block.
-        G = Y.T @ (Sc @ Y)
-        try:
-            C = la.cholesky(0.5 * (G + G.T), lower=True)
-        except la.LinAlgError:
-            Y += 1e-12 * rng.standard_normal(Y.shape)
+        # S-orthonormalize the block.  Near a kernel the solve scales its
+        # direction by about 1/lambda, squaring the condition of Y^T S Y;
+        # a refused Cholesky is retried once on an orthonormal basis of Y.
+        for attempt in range(2):
             G = Y.T @ (Sc @ Y)
-            C = la.cholesky(0.5 * (G + G.T), lower=True)
+            try:
+                C = la.cholesky(0.5 * (G + G.T), lower=True)
+                break
+            except la.LinAlgError as exc:
+                if attempt:
+                    raise FactorizationError(f"kernel block lost rank: {exc}") from exc
+                Y = la.qr(Y, mode="economic")[0]
         Y = la.solve_triangular(C, Y.T, lower=True).T
         T = Y.T @ (Hc @ Y)
         theta, Q = la.eigh(0.5 * (T + T.T))

@@ -39,7 +39,7 @@ def _announce(n, label):
 def osc_pipeline():
     """Criterion 1 scenario: f = -(2.3 pi)^2, resolution 2000, 1D."""
     mesh = fem.build_mesh(1, 2000)
-    met = metric.euclidean(1)
+    met = metric.euclidean()
     spec = problem.linear_problem(-C_OSC)
     asm = Assembler(mesh, met, spec)
     t0 = time.perf_counter()
@@ -56,7 +56,7 @@ def osc_pipeline():
 def disc_pipeline():
     """Criterion 2 scenario: Euclidean disc, f = -36, 60 rings."""
     mesh = fem.build_mesh(2, 60)
-    met = metric.euclidean(2)
+    met = metric.euclidean()
     spec = problem.linear_problem(-36.0)
     asm = Assembler(mesh, met, spec)
     t0 = time.perf_counter()
@@ -103,7 +103,7 @@ def sphere_pipeline():
     oracle.sort()
 
     mesh = fem.build_mesh(2, 40)
-    met = metric.constant_curvature(2, 1.0)
+    met = metric.constant_curvature(1.0)
     spec = problem.linear_problem(-36.0)
     asm = Assembler(mesh, met, spec)
     sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 200))
@@ -236,8 +236,8 @@ def test_criterion_6_property_suite(osc_pipeline, disc_pipeline, sphere_pipeline
     # Jacobian and energy-gradient consistency at 1e-6, both dims
     rng = np.random.default_rng(42)
     scenarios = [
-        (fem.build_mesh(1, 400), metric.euclidean(1), problem.cubic_problem(-C_OSC, 1.0)),
-        (fem.build_mesh(2, 8), metric.constant_curvature(2, 1.0),
+        (fem.build_mesh(1, 400), metric.euclidean(), problem.cubic_problem(-C_OSC, 1.0)),
+        (fem.build_mesh(2, 8), metric.constant_curvature(1.0),
          problem.cubic_problem(-12.0, 1.0)),
     ]
     for mesh, met, spec in scenarios:

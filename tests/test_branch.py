@@ -14,7 +14,7 @@ C_OSC = (2.3 * np.pi) ** 2
 @pytest.fixture(scope="module")
 def osc_cubic():
     mesh = fem.build_mesh(1, 800)
-    met = metric.euclidean(1)
+    met = metric.euclidean()
     spec = problem.cubic_problem(-C_OSC, 1.0)
     asm = Assembler(mesh, met, spec)
     lin = problem.linear_problem(-C_OSC)
@@ -57,7 +57,7 @@ class TestNewton:
 
     def test_linear_problem_only_trivial_solution(self):
         mesh = fem.build_mesh(1, 200)
-        met = metric.euclidean(1)
+        met = metric.euclidean()
         spec = problem.linear_problem(-10.0)
         asm = Assembler(mesh, met, spec)
         rng = np.random.default_rng(0)
@@ -131,7 +131,7 @@ class TestTraceBranch:
 
     def test_linear_problem_has_vertical_bifurcation(self):
         mesh = fem.build_mesh(1, 400)
-        met = metric.euclidean(1)
+        met = metric.euclidean()
         lin = problem.linear_problem(-C_OSC)
         asm = Assembler(mesh, met, lin)
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]

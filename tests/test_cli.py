@@ -2,17 +2,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smalescan import cli, conjugate, spectral
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 CONFIG_1D = """
-metric.kind = euclidean
-metric.dim = 1
 problem.f = -52.210207281762692   # -(2.3 pi)^2
-problem.nonlinearity = cubic
 problem.cubic_b = 1.0
 mesh.dim = 1
 mesh.resolution = 400
@@ -35,21 +34,33 @@ class TestConfigParsing:
     def test_roundtrip(self, config_file):
         cfg = cli.load_config(config_file)
         assert cfg.mesh_resolution == 400
-        assert cfg.problem_nonlinearity == "cubic"
+        assert cfg.problem_cubic_b == 1.0
+
+    def test_kappa_and_cubic_b_are_used_as_given(self, tmp_path):
+        # No selector key: kappa and b alone fix the curved, cubic model.
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_1D + "metric.kappa = 1.0\n")
+        met, spec = cli._models(cli.load_config(path))
+        assert met.kappa == 1.0
+        assert spec.cubic_b == 1.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.ConfigError):
             cli.load_config(tmp_path / "nope.cfg")
 
     def test_unknown_key_rejected(self, tmp_path):
+        # A typo, and the selector keys that kappa, b and mesh.dim replaced.
         path = tmp_path / "bad.cfg"
-        path.write_text(CONFIG_1D + "\nscan.grid_pionts = 10\n")
-        with pytest.raises(cli.ConfigError, match="grid_pionts"):
-            cli.load_config(path)
+        for line in ("scan.grid_pionts = 10", "metric.kind = constant_curvature",
+                     "metric.dim = 1", "problem.nonlinearity = cubic"):
+            key = line.split(" = ")[0]
+            path.write_text(CONFIG_1D + f"\n{line}\n")
+            with pytest.raises(cli.ConfigError, match=f"unknown config key '{key}'"):
+                cli.load_config(path)
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("metric.dim = 1\n")
+        path.write_text("mesh.dim = 1\n")
         with pytest.raises(cli.ConfigError, match="problem.f"):
             cli.load_config(path)
 
@@ -57,12 +68,6 @@ class TestConfigParsing:
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG_1D + "\nmesh.dim = 1\n")
         with pytest.raises(cli.ConfigError, match="duplicate"):
-            cli.load_config(path)
-
-    def test_dimension_mismatch(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text(CONFIG_1D.replace("metric.dim = 1", "metric.dim = 2"))
-        with pytest.raises(cli.ConfigError, match="mesh.dim"):
             cli.load_config(path)
 
     def test_bad_expression(self, tmp_path):
@@ -73,8 +78,21 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
     def test_shipped_config_loads(self, name):
-        cfg = cli.load_config(CONFIG_DIR / name)
-        assert cfg.mesh_dim == cfg.metric_dim
+        kappa_b = {
+            "degenerate_r1_1d.cfg": (0.0, 0.0),
+            "disc_2d.cfg": (0.0, 0.0),
+            "oscillator_1d.cfg": (0.0, 1.0),
+            "sphere_cap_2d.cfg": (1.0, 0.0),
+        }
+        met, spec = cli._models(cli.load_config(CONFIG_DIR / name))
+        assert (met.kappa, spec.cubic_b) == kappa_b[name]
+
+    def test_readme_lists_every_config_key(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [line.split("=")[0].strip() for line in block.splitlines()
+                if not line.lstrip().startswith("#")]
+        assert keys == list(cli._SCHEMA)
 
     def test_r_min_floor(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -219,6 +237,25 @@ class TestRun:
         assert err.startswith("error: cannot create output directory")
         assert err.count("\n") == 1
 
+    def test_coarse_kernel_eigensolve_exits_0(self, tmp_path, capsys):
+        # On a coarse mesh the shift-invert solve near r* scales the
+        # kernel direction by about 1/lambda, so Y^T S Y is nearly singular.
+        path = tmp_path / "coarse.cfg"
+        path.write_text(
+            "problem.f = -36.0\n"
+            "mesh.dim = 1\n"
+            "mesh.resolution = 12\n"
+            "scan.grid_points = 20\n"
+        )
+        out = tmp_path / "o"
+        code = cli.main(["verify-index", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        lines = (out / "index_report.txt").read_text().splitlines()
+        assert lines[0] == "mu=3 sum_m=3 PASS"
+        radii = [float(line.split()[0].split("=")[1]) for line in lines[4:]]
+        assert radii == pytest.approx([k * np.pi / 12 for k in (1, 2, 3)], abs=0.03)
+
     def test_mesh_dump(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_1D + "\nmesh.dump = true\n")
@@ -230,8 +267,6 @@ class TestRun:
     def test_degenerate_endpoint_exits_3(self, tmp_path):
         path = tmp_path / "deg.cfg"
         path.write_text(
-            "metric.kind = euclidean\n"
-            "metric.dim = 1\n"
             "problem.f = -61.685027506808488\n"  # -(2.5 pi)^2
             "mesh.dim = 1\n"
             "mesh.resolution = 24000\n"
@@ -288,8 +323,6 @@ class TestMainEntry:
     def test_overflowing_negative_kappa_exits_1(self, tmp_path, capsys, dim):
         path = tmp_path / "hyp.cfg"
         path.write_text(
-            "metric.kind = constant_curvature\n"
-            f"metric.dim = {dim}\n"
             "metric.kappa = -1e6\n"
             "problem.f = -36.0\n"
             f"mesh.dim = {dim}\n"

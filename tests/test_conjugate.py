@@ -14,7 +14,7 @@ C_OSC = (2.3 * np.pi) ** 2
 def osc_1d():
     """1D oscillator at moderate resolution, shared across tests."""
     mesh = fem.build_mesh(1, 800)
-    met = metric.euclidean(1)
+    met = metric.euclidean()
     spec = problem.linear_problem(-C_OSC)
     return Assembler(mesh, met, spec)
 
@@ -23,7 +23,7 @@ def osc_1d():
 def disc_2d():
     """Euclidean disc with f = -36 at test-scale resolution."""
     mesh = fem.build_mesh(2, 24)
-    met = metric.euclidean(2)
+    met = metric.euclidean()
     spec = problem.linear_problem(-36.0)
     return Assembler(mesh, met, spec)
 
@@ -31,7 +31,7 @@ def disc_2d():
 class TestScan:
     def test_positive_form_never_negative(self):
         mesh = fem.build_mesh(1, 100)
-        met = metric.euclidean(1)
+        met = metric.euclidean()
         spec = problem.linear_problem(0.0)
         sc = conjugate.scan(Assembler(mesh, met, spec), np.linspace(1e-3, 1.0, 40))
         assert np.all(sc.n_neg == 0)
@@ -180,7 +180,7 @@ class TestCrossingForms:
     def test_boundary_matches_continuum_closed_form(self):
         # continuum: both routes give -2/r* for the S-normalized kernel
         mesh = fem.build_mesh(1, 2000)
-        met = metric.euclidean(1)
+        met = metric.euclidean()
         spec = problem.linear_problem(-C_OSC)
         asm = Assembler(mesh, met, spec)
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
@@ -189,7 +189,7 @@ class TestCrossingForms:
 
     def test_two_method_agreement_1d(self):
         mesh = fem.build_mesh(1, 2000)
-        met = metric.euclidean(1)
+        met = metric.euclidean()
         spec = problem.linear_problem(-C_OSC)
         asm = Assembler(mesh, met, spec)
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
@@ -230,7 +230,7 @@ class TestVerifyIndex:
 
     def test_positive_form_trivial_report(self):
         mesh = fem.build_mesh(1, 100)
-        met = metric.euclidean(1)
+        met = metric.euclidean()
         spec = problem.linear_problem(0.0)
         sc = conjugate.scan(Assembler(mesh, met, spec), [1e-3, 1.0])
         rep = conjugate.verify_index(sc, [])
@@ -243,7 +243,7 @@ class TestVerifyIndex:
         # fifth crossing engineered at r = 1; high resolution keeps the
         # discrete eigenvalue bias below the kernel threshold
         mesh = fem.build_mesh(1, 24000)
-        met = metric.euclidean(1)
+        met = metric.euclidean()
         spec = problem.linear_problem(-(2.5 * np.pi) ** 2)
         asm = Assembler(mesh, met, spec)
         with pytest.raises(conjugate.DegenerateRadiusOneError):
@@ -277,7 +277,7 @@ class TestVerifyIndex:
 def test_disc_full_pipeline_small():
     """End-to-end on a coarse disc: all four crossings, identity, bound."""
     mesh = fem.build_mesh(2, 24)
-    met = metric.euclidean(2)
+    met = metric.euclidean()
     spec = problem.linear_problem(-36.0)
     asm = Assembler(mesh, met, spec)
     sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 150))

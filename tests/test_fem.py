@@ -15,7 +15,7 @@ def hat_stiffness(n_elem, length=2.0):
 
 def flat_assembler(mesh):
     """Euclidean metric, f = 0: h(r) is the Gram matrix for every r."""
-    return fem.Assembler(mesh, metric.euclidean(mesh.dim), problem.linear_problem(0.0))
+    return fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(0.0))
 
 
 def hat_mass(n_elem, length=2.0):
@@ -88,7 +88,7 @@ class TestAssembleH:
 
     def test_r_zero_is_pure_stiffness_any_metric(self):
         mesh = fem.build_mesh(2, 4)
-        met = metric.constant_curvature(2, 1.0)
+        met = metric.constant_curvature(1.0)
         spec = problem.linear_problem(-17.0)
         H = fem.Assembler(mesh, met, spec).h(0.0)
         gram = flat_assembler(mesh).gram()
@@ -97,13 +97,13 @@ class TestAssembleH:
     def test_1d_constant_potential_closed_form(self):
         mesh = fem.build_mesh(1, 8)
         c, r = 5.0, 0.6
-        H = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(-c)).h(r)
+        H = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(-c)).h(r)
         expect = hat_stiffness(8) - c * r * r * hat_mass(8)
         assert np.allclose(H.toarray(), expect, atol=1e-13)
 
     def test_symmetry(self):
         mesh = fem.build_mesh(2, 6)
-        H = fem.Assembler(mesh, metric.constant_curvature(2, 1.0),
+        H = fem.Assembler(mesh, metric.constant_curvature(1.0),
                           problem.linear_problem(-9.0)).h(0.7)
         diff = (H - H.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
@@ -111,7 +111,7 @@ class TestAssembleH:
     def test_rejects_bad_r(self):
         mesh = fem.build_mesh(1, 4)
         with pytest.raises(ValueError):
-            fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(0.0)).h(1.5)
+            fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(0.0)).h(1.5)
 
 
 class TestGram:
@@ -135,7 +135,7 @@ class TestGram:
 class TestResidualJacobian:
     def setup_method(self):
         self.mesh = fem.build_mesh(1, 40)
-        self.met = metric.euclidean(1)
+        self.met = metric.euclidean()
         self.cubic = problem.cubic_problem(-10.0, 1.0)
         self.asm = fem.Assembler(self.mesh, self.met, self.cubic)
 
@@ -190,7 +190,7 @@ class TestResidualJacobian:
 
     def test_energy_gradient_2d_curved(self):
         mesh = fem.build_mesh(2, 4)
-        asm = fem.Assembler(mesh, metric.constant_curvature(2, 1.0),
+        asm = fem.Assembler(mesh, metric.constant_curvature(1.0),
                             problem.cubic_problem(-6.0, 2.0))
         rng = np.random.default_rng(9)
         u = 0.2 * rng.standard_normal(mesh.n_interior)
@@ -208,7 +208,7 @@ class TestResidualJacobian:
 @pytest.mark.parametrize("r", [0.0, 0.37, 1.0])
 def test_assembly_matches_reference(dim, res, kappa, r):
     mesh = fem.build_mesh(dim, res)
-    met = metric.euclidean(dim) if kappa == 0.0 else metric.constant_curvature(dim, kappa)
+    met = metric.constant_curvature(kappa)
     asm = fem.Assembler(mesh, met, problem.cubic_problem(-20.0, 1.5))
     u = 0.5 * np.random.default_rng(11).standard_normal(mesh.n_interior)
     H, J, F, S, _ = reference_assembly(asm, r, u)
@@ -228,7 +228,7 @@ def test_1d_eigenvalue_convergence_is_second_order():
     errs = []
     for res in (40, 80, 160):
         mesh = fem.build_mesh(1, res)
-        asm = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(1.0))
+        asm = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(1.0))
         K = asm.gram().toarray()
         M = asm.h(1.0).toarray() - K
         lam = la.eigh(K, M, subset_by_index=[0, 0])[0][0]

@@ -31,8 +31,8 @@ def test_linear_is_cubic_with_zero_b():
     f = -52.379
     assert problem.linear_problem(f) == problem.cubic_problem(f, 0.0)
     mesh = fem.build_mesh(1, 8)
-    lin = fem.Assembler(mesh, metric.euclidean(1), problem.linear_problem(f))
-    cub = fem.Assembler(mesh, metric.euclidean(1), problem.cubic_problem(f, 0.0))
+    lin = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(f))
+    cub = fem.Assembler(mesh, metric.euclidean(), problem.cubic_problem(f, 0.0))
     u = np.linspace(-0.7, 0.9, mesh.n_interior)
     assert np.array_equal(lin.residual(0.6, u), cub.residual(0.6, u))
     assert np.array_equal(lin.jacobian(0.6, u).toarray(), cub.jacobian(0.6, u).toarray())
