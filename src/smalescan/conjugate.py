@@ -301,8 +301,10 @@ def _boundary_quadratic_2d(asm: Assembler, r0: float, ufull: np.ndarray) -> floa
     # Two-point Gauss along each straight edge.
     for s in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
         x = (1.0 - s) * p0 + s * p1
-        A, _ = metric_mod.coefficients(asm.metric, r0 * x)
-        axx = np.einsum("ta,tab,tb->t", x, A, x)
+        # A x = w(r0 |x|) x for radial x.
+        xx = np.einsum("ta,ta->t", x, x)
+        w, _ = metric_mod.coefficients(asm.metric, r0 * np.sqrt(xx), 2)
+        axx = w * xx
         gux = np.einsum("ta,ta->t", gu, x)
         total += 0.5 * np.sum(length * gux * gux * axx)
     return -total / r0
@@ -314,8 +316,8 @@ def _boundary_quadratic_1d(asm: Assembler, r0: float, ufull: np.ndarray) -> floa
     h_right = mesh.nodes[-1, 0] - mesh.nodes[-2, 0]
     du_left = (ufull[1] - ufull[0]) / h_left
     du_right = (ufull[-1] - ufull[-2]) / h_right
-    A, _ = metric_mod.coefficients(asm.metric, r0 * np.array([[1.0], [-1.0]]))
-    return -(du_right ** 2 * A[0, 0, 0] + du_left ** 2 * A[1, 0, 0]) / r0
+    # <A x, x> = w = 1 at x = +-1: the 1D space forms are flat.
+    return -(du_right ** 2 + du_left ** 2) / r0
 
 
 def crossing_form_boundary(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:

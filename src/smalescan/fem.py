@@ -22,10 +22,10 @@ in 2D.
 
 Assembly: the interior CSR pattern, the slot in it of every element
 entry and its transpose permutation are built once per mesh.  Every
-form is then two element kernels (a quadrature contraction of A followed
-by G W G^T, and the weighted mass values times a fixed phi_i phi_j
-table) and one ``np.bincount`` scatter into that pattern; see
-``Assembler``.
+form is then two element kernels (the metric's radial profiles at r|x|
+contracted against fixed projectors, then G W G^T; and the weighted mass
+values times a fixed phi_i phi_j table) and one ``np.bincount`` scatter
+into that pattern; see ``Assembler``.
 """
 
 from __future__ import annotations
@@ -235,19 +235,21 @@ _G3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 class Assembler:
     """Caches mesh geometry, quadrature data and the interior scatter.
 
-    Per mesh, once: element gradients, quadrature points, the interior
-    CSR pattern (the pairs of interior nodes sharing an element, rows and
-    columns sorted), the slot in its ``data`` of every element entry, the
-    permutation mapping ``data`` onto that of the transpose, and the Gram
-    matrix.  Per call, every form goes through two element kernels
+    Per mesh, once: element gradients, quadrature points x, |x| and
+    e e^T (e = x/|x|), the interior CSR pattern (the pairs of interior
+    nodes sharing an element, rows and columns sorted), the slot in its
+    ``data`` of every element entry, the permutation mapping ``data``
+    onto that of the transpose, and the Gram matrix.  Per call, with
+    gw = grad_w and (w, a) = ``metric.coefficients`` at r|x|, every form
+    goes through two element kernels
 
-        stiffness  W_t = sum_q grad_w[t, q] A(r x_tq),   K_t = G_t W_t G_t^T
-        mass       M_t = (mass_w w(r x) c)_t @ Phi,  Phi[q, i nv + j] = phi_i phi_j
+        stiffness  W_t = (sum_q gw a) I + sum_q gw (w - a) e e^T,   K_t = G_t W_t G_t^T
+        mass       M_t = (mass_w w c)_t @ Phi,  Phi[q, i nv + j] = phi_i phi_j
 
     with c = f for H(r) and c = dV/du(r x, u) for J(r, u), so J(r, 0)
     equals H(r) exactly.  A matrix is one ``np.bincount`` into the slots
     followed by 0.5 (d + d[transpose]), which is exactly symmetric.  The
-    mass and nonlinear terms read only w(r x) from the metric.  ``h``,
+    mass and nonlinear terms read only w from the metric.  ``h``,
     ``jacobian`` and ``residual`` write no state, so ``h`` may run
     concurrently.
     """
@@ -267,6 +269,11 @@ class Assembler:
         )                                                  # (qm, nv * nv)
         self._setup_scatter()
         self._int_idx = np.flatnonzero(~mesh.boundary_nodes)
+        # The metric depends on x only through |x| and e e^T (e = 0 at x = 0).
+        gr = np.linalg.norm(self.grad_pts, axis=2)                   # (ne, qg)
+        self._radius = np.hstack([gr, np.linalg.norm(self.mass_pts, axis=2)])
+        e = self.grad_pts / np.where(gr > 0.0, gr, 1.0)[:, :, None]
+        self._grad_ee = e[:, :, :, None] * e[:, :, None, :]          # (ne, qg, d, d)
         w = self.grad_w.sum(axis=1)
         self._S = self._scatter(
             self._element_stiffness(w[:, None, None] * np.eye(mesh.dim))
@@ -341,25 +348,24 @@ class Assembler:
         G = self.grads
         return (G @ W @ G.transpose(0, 2, 1)).reshape(len(G), -1)
 
-    def _stiffness(self, r: float) -> np.ndarray:
-        ne, qg, d = self.grad_pts.shape
-        A, _ = metric_mod.coefficients(
-            self.metric, (r * self.grad_pts).reshape(-1, d)
-        )
-        W = np.einsum("tq,tqab->tab", self.grad_w, A.reshape(ne, qg, d, d))
-        return self._element_stiffness(W)
+    def _stiffness(self, r: float):
+        """Element stiffness K_t at scale r, and w at the mass points from
+        the same evaluation of the profiles."""
+        d = self.mesh.dim
+        qg = self.grad_w.shape[1]
+        w, a = metric_mod.coefficients(self.metric, r * self._radius, d)
+        wg, ag = w[:, :qg], a[:, :qg]
+        # W_t = (sum_q gw a) I + sum_q gw (w - a) e e^T: exactly
+        # (sum_q gw) I when w = a = 1, which a (I - e e^T) + w e e^T is not.
+        W = np.einsum("tq,tqab->tab", self.grad_w * (wg - ag), self._grad_ee)
+        W += (self.grad_w * ag).sum(axis=1)[:, None, None] * np.eye(d)
+        return self._element_stiffness(W), w[:, qg:]
 
-    def _mass_data(self, r: float):
-        """Quadrature weight * w(r x) and f(r x) at the mass points."""
+    def _mass_data(self, r: float, w: np.ndarray):
+        """Quadrature weight * w and f(r x) at the mass points."""
         ne, qm, d = self.mass_pts.shape
-        pts = (r * self.mass_pts).reshape(-1, d)
-        w = metric_mod.weights(self.metric, pts)
-        fv = self.spec.f_values(pts)
-        return self.mass_w * w.reshape(ne, qm), fv.reshape(ne, qm)
-
-    def _matrix(self, r: float, wq: np.ndarray, cq: np.ndarray) -> sp.csr_matrix:
-        """Scatter of K_t + r^2 (wq cq) @ Phi; shared by ``h`` and ``jacobian``."""
-        return self._scatter(self._stiffness(r) + r * r * ((wq * cq) @ self._phi2))
+        fv = self.spec.f_values((r * self.mass_pts).reshape(-1, d))
+        return self.mass_w * w, fv.reshape(ne, qm)
 
     def _scatter(self, elem_mats: np.ndarray) -> sp.csr_matrix:
         nnz = self._indices.size
@@ -390,20 +396,23 @@ class Assembler:
     def h(self, r: float) -> sp.csr_matrix:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"scale parameter r = {r} outside [0, 1]")
-        wq, fq = self._mass_data(r)
-        return self._matrix(r, wq, fq)
+        K, w = self._stiffness(r)
+        wq, fq = self._mass_data(r, w)
+        return self._scatter(K + r * r * ((wq * fq) @ self._phi2))
 
     def jacobian(self, r: float, u: np.ndarray) -> sp.csr_matrix:
         _, uq = self._element_values(u)
-        wq, fq = self._mass_data(r)
-        return self._matrix(r, wq, self.spec.dv_values(fq, uq))
+        K, w = self._stiffness(r)
+        wq, fq = self._mass_data(r, w)
+        cq = self.spec.dv_values(fq, uq)
+        return self._scatter(K + r * r * ((wq * cq) @ self._phi2))
 
     def residual(self, r: float, u: np.ndarray) -> np.ndarray:
         ue, uq = self._element_values(u)
         ne, nv = ue.shape
-        Ke = self._stiffness(r).reshape(ne, nv, nv)
-        wq, fq = self._mass_data(r)
-        Fe = (Ke @ ue[:, :, None])[:, :, 0]
+        K, w = self._stiffness(r)
+        wq, fq = self._mass_data(r, w)
+        Fe = (K.reshape(ne, nv, nv) @ ue[:, :, None])[:, :, 0]
         Fe += r * r * ((wq * self.spec.v_values(fq, uq)) @ self.mass_phi.T)
         F = np.bincount(
             self.elem_nodes.ravel(), weights=Fe.ravel(), minlength=self.mesh.n_nodes

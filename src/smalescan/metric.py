@@ -1,22 +1,18 @@
 """Riemannian metric data in geodesic normal coordinates.
 
-All downstream assembly only ever needs two fields on the unit ball:
-the coefficient matrix A(x) = g^{jk}(x) |g(x)|^(1/2) and the scalar
-weight w(x) = |g(x)|^(1/2).  The model is the space form of sectional
-curvature k, Euclidean being k = 0, for which both fields have closed
-forms in normal coordinates, n being the number of coordinates of x:
+The model is the space form of sectional curvature k, Euclidean being
+k = 0.  Pulled back to the unit ball at scale r, its metric depends only
+on the geodesic distance t = r|x| and the fixed direction e = x/|x|:
 
-    g(x)   = P_rad + (s_k(t)/t)^2 P_tan,      t = |x|,
-    w(x)   = (s_k(t)/t)^(n-1),
-    A(x)   = w(x) * (P_rad + (t/s_k(t))^2 P_tan),
+    g(x)   = P_rad + q(t)^2 P_tan,          q(t) = s_k(t)/t,
+    A(x)   = g^{-1} |g|^(1/2) = w(t) P_rad + a(t) P_tan,
+    w(t)   = |g|^(1/2) = q(t)^(n-1),        a(t) = q(t)^(n-3),
 
-where s_k(t) = sin(sqrt(k) t)/sqrt(k) for k > 0, t for k = 0 and
-sinh(sqrt(-k) t)/sqrt(-k) for k < 0, and P_rad = x x^T / t^2,
-P_tan = I - P_rad.
-
-``coefficients`` evaluates (A, w) at a batch of points; ``weights``
-evaluates w alone, with the same checks and the same values, for the
-terms that need no A (mass and nonlinear terms).
+where n is the number of coordinates, P_rad = e e^T, P_tan = I - P_rad,
+and s_k(t) = sin(sqrt(k) t)/sqrt(k) for k > 0, t for k = 0 and
+sinh(sqrt(-k) t)/sqrt(-k) for k < 0.  ``coefficients`` evaluates the two
+radial profiles (w, a) at a batch of radii; the assembler combines them
+with the projectors of its fixed quadrature points.
 """
 
 from __future__ import annotations
@@ -30,11 +26,11 @@ __all__ = [
     "euclidean",
     "constant_curvature",
     "coefficients",
-    "weights",
 ]
 
-# Below this radius the trigonometric ratios are evaluated by series to
-# avoid cancellation; quadrature points sit arbitrarily close to 0.
+# Below this value of sqrt(|k|) t the ratio s_k(t)/t is evaluated by its
+# series to avoid cancellation; quadrature points sit arbitrarily close
+# to 0.
 SERIES_CUTOFF = 1e-4
 
 # sinh(sqrt(-kappa) t) overflows a double once sqrt(-kappa) t passes
@@ -45,7 +41,7 @@ MAX_SQRT_NEG_KAPPA = 700.0
 @dataclass(frozen=True)
 class MetricModel:
     """The space form of sectional curvature ``kappa`` (0 is Euclidean),
-    reduced to its (A, w) fields; n is read off the evaluation points."""
+    reduced to its radial profiles (w, a); n is set by the caller."""
 
     kappa: float = 0.0
 
@@ -66,7 +62,7 @@ class MetricModel:
 
 
 def euclidean() -> MetricModel:
-    """Flat metric, curvature 0: A = I, w = 1 everywhere."""
+    """Flat metric, curvature 0: w = a = 1 everywhere."""
     return MetricModel()
 
 
@@ -76,97 +72,40 @@ def constant_curvature(kappa: float) -> MetricModel:
 
 
 def _sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
-    """s_k(t)/t for kappa != 0, series-evaluated below SERIES_CUTOFF.
-
-    Uniform in the sign of kappa through u = kappa * t**2:
-    s_k(t)/t = 1 - u/6 + u^2/120 - u^3/5040 + ...
-    """
+    """q(t) = s_k(t)/t: the series s_k(t)/t = 1 - u/6 + u^2/120 - u^3/5040
+    in u = kappa t^2, replaced by the closed form where sqrt|kappa| t
+    reaches SERIES_CUTOFF.  At kappa = 0 the series is exactly 1."""
     u = kappa * t * t
-    series = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
-    sk = np.sqrt(abs(kappa))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if kappa > 0.0:
-            closed = np.sin(sk * t) / (sk * t)
-        else:
-            closed = np.sinh(sk * t) / (sk * t)
-    return np.where(t < SERIES_CUTOFF, series, closed)
+    q = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
+    z = np.sqrt(abs(kappa)) * t
+    far = z >= SERIES_CUTOFF
+    z = z[far]
+    q[far] = (np.sin(z) if kappa > 0.0 else np.sinh(z)) / z
+    return q
 
 
-def _inv_sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
-    """t/s_k(t) for kappa != 0 by 4-term series below the cutoff, closed
-    form above."""
-    u = kappa * t * t
-    series = 1.0 + u / 6.0 + 7.0 * u * u / 360.0 + 31.0 * u ** 3 / 15120.0
-    sk = np.sqrt(abs(kappa))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if kappa > 0.0:
-            closed = (sk * t) / np.sin(sk * t)
-        else:
-            closed = (sk * t) / np.sinh(sk * t)
-    return np.where(t < SERIES_CUTOFF, series, closed)
-
-
-def _checked_points(points):
-    """Points as an (m, n) float array and their norms, after the
-    unit-ball check shared by ``weights`` and ``coefficients``."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    t = np.linalg.norm(P, axis=1)
-    if np.any(t > 1.0 + 1e-12):
-        raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.max())
-    return P, t
-
-
-def _weights(model: MetricModel, P: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """w at checked points; (s_k(t)/t)^(n-1) for the space forms, whose
-    series branch gives exactly 1 at the center."""
-    m, n = P.shape
-    if model.kappa == 0.0:
-        return np.ones(m)
-    return _sin_ratio(model.kappa, t) ** (n - 1)
-
-
-def weights(model: MetricModel, points: np.ndarray) -> np.ndarray:
-    """Batched w = |g|^(1/2) alone, equal to ``coefficients(...)[1]``.
-
-    The mass and nonlinear terms of the assembly need only w, so
-    they skip building A.  Same checks and errors as ``coefficients`` on
-    the closed unit ball; returns an array of shape (m,).
-    """
-    return _weights(model, *_checked_points(points))
-
-
-def coefficients(model: MetricModel, points: np.ndarray):
-    """Batched (A, w) at an array of points.
+def coefficients(model: MetricModel, t: np.ndarray, n: int):
+    """The radial profiles (w, a) at radii ``t``, in n coordinates.
 
     Parameters
     ----------
     model : MetricModel
-    points : ndarray, shape (m, n)
-        Evaluation points on the closed unit ball, |x| <= 1: assembly
-        evaluates scaled points r*x, which land on the unit sphere at
-        r = 1, where the closed forms extend continuously.
+    t : ndarray
+        Geodesic distances r|x| on the closed unit ball, 0 <= t <= 1:
+        assembly reaches t = 1 on the unit sphere at r = 1, where the
+        closed forms extend continuously.
+    n : int
+        Number of coordinates.
 
     Returns
     -------
-    A : ndarray, shape (m, n, n)
-    w : ndarray, shape (m,), the same values as ``weights``
+    w : ndarray, the shape of t, |g|^(1/2) = q^(n-1), also the radial
+        entry of A
+    a : ndarray, the shape of t, the tangential entry of A, q^(n-3)
     """
-    P, t = _checked_points(points)
-    m, n = P.shape
-    w = _weights(model, P, t)
-
-    if model.kappa == 0.0:
-        # Flat: A = I exactly; the ratios below need kappa != 0.
-        return np.broadcast_to(np.eye(n), (m, n, n)).copy(), w
-
-    qi = _inv_sin_ratio(model.kappa, t)     # t/s(t)
-    # Radial projector e e^T, with e = x/t.  At t = 0, e = 0 and the
-    # series give w = qi = 1, so A is exactly I there.
-    safe_t = np.where(t > 0.0, t, 1.0)
-    e = P / safe_t[:, None]
-    ee = e[:, :, None] * e[:, None, :]
-    eye = np.broadcast_to(np.eye(n), (m, n, n))
-    tan_coef = (w * qi * qi)[:, None, None]
-    rad_coef = w[:, None, None]
-    A = tan_coef * (eye - ee) + rad_coef * ee
-    return A, w
+    t = np.asarray(t, dtype=float)
+    if np.any(t > 1.0 + 1e-12):
+        raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.max())
+    q = _sin_ratio(model.kappa, t)
+    # q^(n-3), not w / q^2: q^2 overflows near sqrt(-kappa) = 700.
+    return q ** (n - 1), q ** (n - 3)

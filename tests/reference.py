@@ -8,6 +8,9 @@ tests make on its output:
     pivoted LDL^T of LAPACK ``dsytrf``, against ``spectral.inertia``;
   * ``smallest_eigenpairs``: dense generalized eigenpairs, against
     ``spectral.kernel_eigenpairs`` and as an eigenvalue oracle;
+  * ``metric_fields``: A = g^{-1} |g|^(1/2) and w = |g|^(1/2) as full
+    matrices from g = P_rad + q^2 P_tan, against the radial profiles of
+    ``metric.coefficients``;
   * ``reference_assembly`` and ``energy``: H, J, F, S by COO assembly
     with four-operand einsum kernels, and the discrete energy E whose
     exact gradient is F;
@@ -27,7 +30,7 @@ import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
-from smalescan import branch, metric, spectral
+from smalescan import branch, spectral
 
 SMALL_NORM = 1e-2
 MULTISTART_SEED = 20240801
@@ -102,6 +105,25 @@ def smallest_eigenpairs(H, S, k: int) -> spectral.EigenPairs:
 # Assembly and energy
 # ---------------------------------------------------------------------------
 
+def metric_fields(met, pts):
+    """(A, w) at points of the unit ball, shapes (m, n, n) and (m,).
+
+    g = P_rad + q^2 P_tan with q = s_k(t)/t in closed form (1 at t = 0),
+    inverted and its determinant taken as full matrices.
+    """
+    m, n = pts.shape
+    t = np.linalg.norm(pts, axis=1)
+    z = np.sqrt(abs(met.kappa)) * t
+    z_safe = np.where(z > 0.0, z, 1.0)
+    s = np.sin(z_safe) if met.kappa > 0.0 else np.sinh(z_safe)
+    q = np.where(z > 0.0, s / z_safe, 1.0)
+    e = pts / np.where(t > 0.0, t, 1.0)[:, None]
+    ee = e[:, :, None] * e[:, None, :]
+    g = ee + (q * q)[:, None, None] * (np.eye(n) - ee)
+    w = np.sqrt(np.linalg.det(g))
+    return np.linalg.inv(g) * w[:, None, None], w
+
+
 def g_values(spec, fvals, xi):
     """Primitive G(y, xi) of V in xi with G(y, 0) = 0."""
     return 0.5 * fvals * xi ** 2 + 0.25 * spec.cubic_b * xi ** 4
@@ -113,7 +135,7 @@ def reference_assembly(asm, r, u):
 
     Oracle for the precomputed scatter and the matmul kernels of
     ``fem.Assembler``; it reads only the assembler's geometry and
-    quadrature attributes and evaluates w through ``coefficients``.
+    quadrature attributes and evaluates A and w through ``metric_fields``.
     E is the discrete energy, whose exact gradient is F.
     """
     mesh, met, spec = asm.mesh, asm.metric, asm.spec
@@ -130,12 +152,12 @@ def reference_assembly(asm, r, u):
         return (0.5 * (M + M.T)).tocsr()
 
     _, qg, d = asm.grad_pts.shape
-    A, _ = metric.coefficients(met, (r * asm.grad_pts).reshape(-1, d))
+    A, _ = metric_fields(met, (r * asm.grad_pts).reshape(-1, d))
     A = A.reshape(ne, qg, d, d)
     Ke = np.einsum("tq,tqab,tia,tjb->tij", asm.grad_w, A, asm.grads, asm.grads)
     qm = asm.mass_pts.shape[1]
     pts = (r * asm.mass_pts).reshape(-1, d)
-    wq = asm.mass_w * metric.coefficients(met, pts)[1].reshape(ne, qm)
+    wq = asm.mass_w * metric_fields(met, pts)[1].reshape(ne, qm)
     fq = spec.f_values(pts).reshape(ne, qm)
     full = np.zeros(N)
     full[interior] = u

@@ -108,6 +108,21 @@ class TestAssembleH:
         diff = (H - H.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
 
+    def test_curved_h_is_rotation_invariant(self):
+        # Rotation by 60 degrees maps the polar-ring mesh onto itself
+        # (node j of ring i goes to node j + i) and the curved metric's
+        # radial projectors onto the rotated ones, so H(r) is invariant.
+        R = 6
+        mesh = fem.build_mesh(2, R)
+        perm = [0]
+        for i in range(1, R):
+            start = 1 + 3 * i * (i - 1)
+            perm.extend(start + (j + i) % (6 * i) for j in range(6 * i))
+        for kappa in (1.0, -2.0):
+            H = fem.Assembler(mesh, metric.constant_curvature(kappa),
+                              problem.linear_problem(-9.0)).h(0.8).toarray()
+            assert np.max(np.abs(H[np.ix_(perm, perm)] - H)) <= 1e-13 * np.max(np.abs(H))
+
     def test_rejects_bad_r(self):
         mesh = fem.build_mesh(1, 4)
         with pytest.raises(ValueError):

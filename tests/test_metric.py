@@ -4,11 +4,16 @@ import pytest
 from smalescan import metric
 
 
+def _closed_ratio(kappa, t):
+    """s_k(t)/t by its trigonometric closed form, t > 0."""
+    sk = np.sqrt(abs(kappa))
+    return (np.sin(sk * t) if kappa > 0 else np.sinh(sk * t)) / (sk * t)
+
+
 def test_euclidean_identity():
     m = metric.euclidean()
-    A, w = metric.coefficients(m, [[0.3, 0.4]])
-    assert np.array_equal(A[0], np.eye(2))
-    assert w[0] == 1.0
+    w, a = metric.coefficients(m, np.array([0.5]), 2)
+    assert w[0] == 1.0 and a[0] == 1.0
 
 
 def test_euclidean_is_curvature_zero():
@@ -16,62 +21,65 @@ def test_euclidean_is_curvature_zero():
 
 
 def test_zero_curvature_collapses_to_flat():
+    # kappa = 0 runs through the series, which is exactly 1 there.
     m = metric.constant_curvature(0.0)
-    A, w = metric.coefficients(m, [[0.2, -0.1, 0.4]])
-    assert np.allclose(A[0], np.eye(3), atol=0.0)
-    assert w[0] == 1.0
+    t = np.array([0.0, 0.3 * metric.SERIES_CUTOFF, 0.2, 0.45, 1.0])
+    for n in (1, 2, 3):
+        w, a = metric.coefficients(m, t, n)
+        assert np.all(w == 1.0) and np.all(a == 1.0)
 
 
 def test_sphere_values_at_half_radius():
-    # kappa = 1, n = 2 at x = (0.5, 0): w = sin(0.5)/0.5, tangential
-    # entry t/sin(t), radial entry w.
+    # kappa = 1, n = 2 at t = 0.5: w = sin(0.5)/0.5 (radial entry of A),
+    # a = 0.5/sin(0.5) (tangential entry).
     m = metric.constant_curvature(1.0)
-    (A,), (w,) = metric.coefficients(m, [[0.5, 0.0]])
+    (w,), (a,) = metric.coefficients(m, np.array([0.5]), 2)
     w_exact = np.sin(0.5) / 0.5
     assert w == pytest.approx(w_exact, rel=1e-15)
-    assert A[0, 0] == pytest.approx(w_exact, rel=1e-14)          # radial
-    assert A[1, 1] == pytest.approx(0.5 / np.sin(0.5), rel=1e-14)  # tangential
-    assert A[0, 1] == 0.0 and A[1, 0] == 0.0
+    assert a == pytest.approx(0.5 / np.sin(0.5), rel=1e-15)
     # published approximations from the model family
     assert w == pytest.approx(0.958851, abs=1e-6)
-    assert A[1, 1] == pytest.approx(1.042915, abs=1e-6)
+    assert a == pytest.approx(1.042915, abs=1e-6)
+    # n = 3: w = q^2, a = 1
+    (w3,), (a3,) = metric.coefficients(m, np.array([0.5]), 3)
+    assert w3 == pytest.approx(w_exact ** 2, rel=1e-15)
+    assert a3 == 1.0
 
 
 def test_scaled_matches_composition():
+    # The assembler passes r |x|; the profiles see only that product.
     m = metric.constant_curvature(1.0)
-    A1, w1 = metric.coefficients(m, 0.5 * np.array([[1.0, 0.0]]))
-    A2, w2 = metric.coefficients(m, [[0.5, 0.0]])
-    assert np.allclose(A1, A2, atol=0.0)
-    assert np.array_equal(w1, w2)
+    w1, a1 = metric.coefficients(m, 0.5 * np.array([1.0]), 2)
+    w2, a2 = metric.coefficients(m, np.array([0.5]), 2)
+    assert np.array_equal(w1, w2) and np.array_equal(a1, a2)
 
 
 def test_scaled_euclidean_is_identity_everywhere():
     m = metric.euclidean()
-    A, w = metric.coefficients(m, 0.7 * np.array([[1.0]]))
-    assert np.array_equal(A[0], np.eye(1))
-    assert w[0] == 1.0
+    w, a = metric.coefficients(m, 0.7 * np.array([1.0]), 1)
+    assert w[0] == 1.0 and a[0] == 1.0
 
 
 def test_scaled_at_zero_is_identity():
     for m in (metric.euclidean(), metric.constant_curvature(1.0),
               metric.constant_curvature(-2.0)):
-        A, w = metric.coefficients(m, 0.0 * np.array([[0.77, -0.6]]))
-        assert np.array_equal(A[0], np.eye(2))
-        assert w[0] == 1.0
+        w, a = metric.coefficients(m, 0.0 * np.array([0.77]), 2)
+        assert w[0] == 1.0 and a[0] == 1.0
 
 
 def test_scaled_allows_closed_ball():
     m = metric.constant_curvature(1.0)
-    A, w = metric.coefficients(m, 1.0 * np.array([[1.0, 0.0]]))
+    w, a = metric.coefficients(m, 1.0 * np.array([1.0]), 2)
     assert w[0] == pytest.approx(np.sin(1.0), rel=1e-14)
+    assert a[0] == pytest.approx(1.0 / np.sin(1.0), rel=1e-14)
 
 
 def test_domain_errors():
     m = metric.constant_curvature(1.0)
     with pytest.raises(ValueError):
-        metric.coefficients(m, [[1.2, 0.0]])
+        metric.coefficients(m, np.array([1.2]), 2)
     with pytest.raises(ValueError):
-        metric.coefficients(m, 1.0 * np.array([[1.1, 0.0]]))
+        metric.coefficients(m, 1.0 * np.array([0.5, 1.1]), 2)
     with pytest.raises(ValueError):
         metric.constant_curvature(np.pi ** 2)
     with pytest.raises(ValueError):
@@ -83,79 +91,52 @@ def test_hyperbolic_curvature_bound():
     with pytest.raises(ValueError, match="sqrt\\(-kappa\\) < 700"):
         metric.constant_curvature(-1e6)
     m = metric.constant_curvature(-(699.0 ** 2))
-    A, w = metric.coefficients(m, [[1.0, 0.0], [0.0, 0.5]])
-    assert np.all(np.isfinite(A)) and np.all(np.isfinite(w))
+    w, a = metric.coefficients(m, np.array([1.0, 0.5]), 2)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(a))
+    # a = q^(n-3) stays positive where w / q^2 would underflow to 0
+    assert np.all(a > 0.0)
 
 
-def test_symmetry_exact_and_spd_at_random_points():
+def test_profiles_positive_at_random_radii():
     rng = np.random.default_rng(7)
-    for kappa, dim in ((1.0, 2), (-3.0, 2), (2.5, 3)):
-        m = metric.constant_curvature(kappa)
-        pts = rng.standard_normal((10_000, dim))
-        pts *= (rng.uniform(0.0, 1.0, len(pts)) ** (1.0 / dim) /
-                np.linalg.norm(pts, axis=1))[:, None]
-        A, w = metric.coefficients(m, pts)
-        assert np.max(np.abs(A - np.transpose(A, (0, 2, 1)))) == 0.0
-        assert np.all(w > 0.0)
-        eigs = np.linalg.eigvalsh(A)
-        assert eigs.min() > 0.0
+    t = rng.uniform(0.0, 1.0, 10_000)
+    for kappa, n in ((1.0, 2), (-3.0, 2), (2.5, 3), (-(699.0 ** 2), 2)):
+        w, a = metric.coefficients(metric.constant_curvature(kappa), t, n)
+        assert np.all(w > 0.0) and np.all(a > 0.0)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(a))
 
 
 def test_series_matches_closed_form_near_center():
-    # Removable singularity: at t just below the series cutoff the code
-    # takes the Taylor route; the trigonometric closed forms evaluated
-    # at the same point must agree to 1e-12 relative.
-    t = 0.9999e-4
+    # Removable singularity: on either side of the cutoff in sqrt|kappa| t
+    # (series below, closed form above) the profiles agree with the
+    # closed form to 1e-12 relative.
     for kappa in (1.0, -2.0, 5.0):
-        m = metric.constant_curvature(kappa)
-        (A,), (w,) = metric.coefficients(m, [[t, 0.0]])
         sk = np.sqrt(abs(kappa))
-        if kappa > 0:
-            ratio = np.sin(sk * t) / (sk * t)
-        else:
-            ratio = np.sinh(sk * t) / (sk * t)
-        assert w == pytest.approx(ratio, rel=1e-12)
-        assert A[0, 0] == pytest.approx(ratio, rel=1e-12)          # radial = w
-        assert A[1, 1] == pytest.approx(1.0 / ratio, rel=1e-12)    # tangential = w (t/s)^2
-
-
-def test_rotational_equivariance():
-    rng = np.random.default_rng(3)
-    m = metric.constant_curvature(1.0)
-    for _ in range(25):
-        theta = rng.uniform(0, 2 * np.pi)
-        Q = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]])
-        x = rng.uniform(-0.6, 0.6, 2)
-        (A_x,), (w_x,) = metric.coefficients(m, [x])
-        (A_qx,), (w_qx,) = metric.coefficients(m, [Q @ x])
-        assert np.allclose(A_qx, Q @ A_x @ Q.T, atol=1e-14)
-        assert w_qx == pytest.approx(w_x, rel=1e-14)
+        t = np.array([0.9999, 1.0001]) * metric.SERIES_CUTOFF / sk
+        w, a = metric.coefficients(metric.constant_curvature(kappa), t, 2)
+        ratio = _closed_ratio(kappa, t)
+        assert np.allclose(w, ratio, rtol=1e-12, atol=0.0)
+        assert np.allclose(a, 1.0 / ratio, rtol=1e-12, atol=0.0)
 
 
 def test_one_dimensional_space_forms_are_flat():
+    # n = 1 has no tangential direction: A = w = q^0 = 1 exactly.
     m = metric.constant_curvature(1.0)
-    A, w = metric.coefficients(m, [[0.7]])
-    assert A[0, 0, 0] == pytest.approx(1.0, rel=1e-15)
-    assert w[0] == pytest.approx(1.0, rel=1e-15)
+    w, _ = metric.coefficients(m, np.array([0.0, 0.7, 1.0]), 1)
+    assert np.all(w == 1.0)
 
 
 @pytest.mark.parametrize("kappa,n", [
     (0.0, 2), (1.0, 2), (-1.0, 2), (1.0, 3),
 ], ids=["euclidean", "kappa+1", "kappa-1", "kappa+1-3d"])
-def test_weights_equal_coefficients_w(kappa, n):
+def test_profiles_shape_center_and_domain(kappa, n):
     model = metric.constant_curvature(kappa)
-    pts = np.zeros((5, n))
-    pts[1, 0] = 0.3 * metric.SERIES_CUTOFF          # series branch
-    pts[2, :2] = [0.3, -0.4]
-    pts[3, -1] = 1.0                                # on the unit sphere
-    pts[4, :2] = [-0.6, 0.8]
-    w = metric.weights(model, pts)
-    assert w.shape == (5,)
-    assert np.array_equal(w, metric.coefficients(model, pts)[1])
-    assert w[0] == 1.0
-    outside = np.zeros((1, n))
-    outside[0, 0] = 1.0 + 1e-9
-    for fn in (metric.weights, metric.coefficients):
-        with pytest.raises(ValueError):
-            fn(model, outside)
+    t = np.array([0.0, 0.3 * metric.SERIES_CUTOFF, 0.5, 1.0, 1.0 + 1e-13])
+    w, a = metric.coefficients(model, t, n)
+    assert w.shape == a.shape == (5,)
+    assert w[0] == 1.0 and a[0] == 1.0
+    q = np.ones(4) if kappa == 0.0 else _closed_ratio(kappa, t[1:])
+    assert np.allclose(w[1:], q ** (n - 1), rtol=1e-14, atol=0.0)
+    assert np.allclose(a[1:], q ** (n - 3), rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        metric.coefficients(model, np.array([1.0 + 1e-9]), n)
