@@ -64,10 +64,13 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
 
     The merit function is half the squared residual in the S-inverse
     (dual) norm; steps backtrack by halving until the Armijo decrease
-    holds.  Convergence means residual_norm <= NEWTON_TOL * (1 + max|S|),
-    S the Gram matrix, within NEWTON_MAX_ITERS steps.  A singular Jacobian
-    or a stalled line search ends the run with ``converged = False``; the
-    caller decides whether to reseed.
+    holds.  Convergence means residual_norm <= NEWTON_TOL * (1 + max|S|)
+    * min(1, max(||u||_S, TRIVIAL_NORM)), S the Gram matrix, within
+    NEWTON_MAX_ITERS steps: a near-trivial seed cannot pass unmoved, and
+    the floor lets an iterate collapsing onto u = 0 converge without
+    shrinking by a rounding factor per step down to underflow.  A
+    singular Jacobian or a stalled line search ends the run with
+    ``converged = False``; the caller decides whether to reseed.
     """
     S = asm.gram()
     lu_S = asm.gram_lu()
@@ -77,6 +80,9 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
 
     tol_abs = NEWTON_TOL * (1.0 + abs(S).max())
 
+    def done(u, rnorm):
+        return rnorm <= tol_abs * min(1.0, max(_h1_norm(S, u), TRIVIAL_NORM))
+
     def dual_norm(res):
         z = lu_S.solve(res)
         return math.sqrt(max(float(res @ z), 0.0))
@@ -84,7 +90,7 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
     res = asm.residual(r, u)
     rnorm = dual_norm(res)
     iters = 0
-    converged = rnorm <= tol_abs
+    converged = done(u, rnorm)
     while not converged and iters < NEWTON_MAX_ITERS:
         J = asm.jacobian(r, u)
         try:
@@ -109,7 +115,7 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
         if not accepted:
             break  # line search stalled
         iters += 1
-        converged = rnorm <= tol_abs
+        converged = done(u, rnorm)
     return BranchSample(
         r=float(r),
         u=u,

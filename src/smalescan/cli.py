@@ -12,7 +12,8 @@ negative count not monotone, crossing form not negative definite,
 bifurcation not confirmed) or numerical breakdown (a factorization
 still rejected after its nudged retries), 3 degenerate endpoint (the
 r = 1 non-degeneracy assumption fails).  Each failure prints one line
-to stderr.
+to stderr; an unconfirmed bifurcation prints one per radius, naming each
+direction's failure or intercept.
 """
 
 from __future__ import annotations
@@ -310,6 +311,17 @@ class Pipeline:
             )
 
 
+def _trace_outcome(trace: branch_mod.BranchTrace) -> str:
+    """Why one direction did not confirm: its failure or its intercept."""
+    if trace.failure is not None:
+        why = trace.failure
+    elif trace.intercept is None:
+        why = "no intercept"
+    else:
+        why = f"intercept {trace.intercept:.8f}"
+    return f"{trace.direction:+d}: {why}"
+
+
 def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
     """Execute one pipeline stage (or ``all``); returns the exit code."""
     if subcommand not in SUBCOMMANDS:
@@ -368,7 +380,8 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
                 if not any(t.confirmed for t in pair):
                     print(
                         f"verification failure: no confirmed branch at "
-                        f"r* = {cj.r_star:.8f}",
+                        f"r* = {cj.r_star:.8f} "
+                        f"({'; '.join(_trace_outcome(t) for t in pair)})",
                         file=sys.stderr,
                     )
                     code = EXIT_VERIFY

@@ -91,6 +91,8 @@ class TestNewton:
         s = branch.newton_solve(asm, 0.24, 0.3 * phi)
         assert s.converged
         assert s.h1_norm <= 1e-8
+        # the tolerance's floor at TRIVIAL_NORM ends the collapse early
+        assert s.newton_iters <= 5
 
 
 class TestTraceBranch:

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smalescan import cli, conjugate, spectral
+from smalescan import branch, cli, conjugate, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -206,6 +207,44 @@ class TestRun:
         # the supercritical side carries all branch.steps samples
         assert len(lines) >= 11
         assert all(line.split(",")[4] == "1" for line in lines[1:])
+
+    def test_branch_rows_are_newton_solutions(self, tmp_path):
+        # At 2000 segments the kernel seeds just below r* have residuals
+        # under the absolute Newton tolerance; a row must still come from
+        # at least one Newton step, not from the seed left where it was.
+        path = tmp_path / "fine.cfg"
+        path.write_text(CONFIG_1D.replace("mesh.resolution = 400",
+                                          "mesh.resolution = 2000"))
+        out = tmp_path / "o"
+        assert cli.run("bifurcate", path, out_dir=out) == cli.EXIT_OK
+        files = sorted(out.glob("branch_*.csv"))
+        assert len(files) == 4
+        for f in files:
+            for line in f.read_text().splitlines()[1:]:
+                assert int(line.split(",")[3]) > 0, (f.name, line)
+
+    def test_unconfirmed_branch_names_each_direction(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # Linear problem: both directions fall back to the trivial
+        # solution.  The -1 trace is rewritten to fail by its intercept.
+        trace = branch.trace_branch
+
+        def traced(asm, r_star, phi, direction, steps, step_size):
+            tr = trace(asm, r_star, phi, direction, steps, step_size)
+            if direction == -1:
+                tr = dataclasses.replace(tr, failure=None, intercept=0.125)
+            return tr
+
+        monkeypatch.setattr(branch, "trace_branch", traced)
+        path = tmp_path / "linear.cfg"
+        path.write_text(CONFIG_1D.replace("problem.cubic_b = 1.0\n", ""))
+        assert cli.run("bifurcate", path, out_dir=tmp_path / "o") == cli.EXIT_VERIFY
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            assert line.startswith("verification failure: no confirmed branch at r* = ")
+            assert "(+1: branch lost to the trivial solution at r = " in line
+            assert line.endswith("; -1: intercept 0.12500000)")
 
     def test_all_runs_everything(self, config_file, tmp_path):
         out = tmp_path / "o"
