@@ -7,22 +7,22 @@ cannot silently fall back to defaults.
 
 Exit codes: 0 success with all verifications passing, 1 usage or
 configuration error (including an output directory that cannot be
-created), 2 verification failure (index identity violated,
-negative count not monotone, crossing form not negative definite,
-bifurcation not confirmed) or numerical breakdown (a factorization
-still rejected after its nudged retries), 3 degenerate endpoint (the
-r = 1 non-degeneracy assumption fails).  Each failure prints one line
-to stderr; an unconfirmed bifurcation prints one per radius, naming each
-direction's failure or intercept.
+created or an output file that cannot be written), 2 verification
+failure (index identity violated, negative count not monotone, crossing
+form not negative definite, bifurcation not confirmed) or numerical
+breakdown (a factorization still rejected after its nudged retries), 3
+degenerate endpoint (the r = 1 non-degeneracy assumption fails).  Each
+failure prints one line to stderr; an unconfirmed bifurcation prints
+one per radius, naming each direction's failure or intercept.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import List
+from typing import List, get_type_hints
 
 import numpy as np
 
@@ -40,6 +40,7 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_DEGENERATE = 3
 
+# The stages in pipeline order, then ``all`` of them.
 SUBCOMMANDS = ("scan", "conjugate", "crossing", "verify-index", "bifurcate", "all")
 
 
@@ -56,36 +57,27 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (converter, default); REQUIRED means the config must set it.
-REQUIRED = object()
-_SCHEMA = {
-    "metric.kappa": (float, 0.0),
-    "problem.f": (str, REQUIRED),
-    "problem.cubic_b": (float, 0.0),
-    "mesh.dim": (int, REQUIRED),
-    "mesh.resolution": (int, REQUIRED),
-    "mesh.dump": (_to_bool, False),
-    "scan.r_min": (float, 1e-3),
-    "scan.grid_points": (int, conj_mod.DEFAULT_GRID_POINTS),
-    "branch.steps": (int, 50),
-    "branch.step_size": (float, 1e-3),
-    "output.dir": (str, "out"),
-}
-
-
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    metric_kappa: float
+    """Field ``section_key`` holds config key ``section.key``, converted
+    by its annotation; a field without a default is a required key."""
+
+    metric_kappa: float = 0.0
     problem_f: str
-    problem_cubic_b: float
+    problem_cubic_b: float = 0.0
     mesh_dim: int
     mesh_resolution: int
-    mesh_dump: bool
-    scan_r_min: float
-    scan_grid_points: int
-    branch_steps: int
-    branch_step_size: float
-    output_dir: str
+    mesh_dump: bool = False
+    scan_r_min: float = 1e-3
+    scan_grid_points: int = 200
+    branch_steps: int = 50
+    branch_step_size: float = 1e-3
+    output_dir: str = "out"
+
+
+_TYPES = get_type_hints(RunConfig)
+# config key -> its RunConfig field
+_KEYS = {f.name.replace("_", ".", 1): f for f in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:
@@ -106,22 +98,21 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'section.key = value'")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in values:
+        name = _KEYS[key].name
+        if name in values:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-        conv, _ = _SCHEMA[key]
+        conv = _to_bool if _TYPES[name] is bool else _TYPES[name]
         try:
-            values[key] = conv(text.strip())
+            values[name] = conv(text.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    for key, (_, default) in _SCHEMA.items():
-        if key not in values:
-            if default is REQUIRED:
-                raise ConfigError(f"missing required config key {key!r}")
-            values[key] = default
+    for key, field in _KEYS.items():
+        if field.name not in values and field.default is MISSING:
+            raise ConfigError(f"missing required config key {key!r}")
 
-    cfg = RunConfig(**{k.replace(".", "_"): v for k, v in values.items()})
+    cfg = RunConfig(**values)
     _validate(cfg)
     return cfg
 
@@ -143,6 +134,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError("scan.r_min must be < 1")
     if cfg.scan_grid_points < 2:
         raise ConfigError("scan.grid_points must be >= 2")
+    if np.any(np.diff(_scan_grid(cfg)) <= 0.0):
+        raise ConfigError(
+            f"scan.r_min = {cfg.scan_r_min!r} leaves no room for "
+            f"{cfg.scan_grid_points} strictly ascending grid points up to 1"
+        )
     if cfg.branch_steps < 2:
         raise ConfigError("branch.steps must be >= 2")
     if cfg.branch_step_size <= 0.0:
@@ -154,6 +150,10 @@ def _validate(cfg: RunConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.all(np.isfinite(spec.f(probe))):
             raise ConfigError("problem.f is not finite on the unit ball")
+
+
+def _scan_grid(cfg: RunConfig) -> np.ndarray:
+    return np.linspace(cfg.scan_r_min, 1.0, cfg.scan_grid_points)
 
 
 def _models(cfg: RunConfig):
@@ -201,7 +201,7 @@ class Pipeline:
 
     def scan(self) -> conj_mod.ScanResult:
         if self._scan is None:
-            grid = np.linspace(self.cfg.scan_r_min, 1.0, self.cfg.scan_grid_points)
+            grid = _scan_grid(self.cfg)
             self._scan = conj_mod.scan(self.assembler, grid, threads=self.threads)
         return self._scan
 
@@ -340,16 +340,19 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
         print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     pipe = Pipeline(cfg, out, threads=threads)
-    if cfg.mesh_dump:
-        pipe.write_mesh_dump()
+    try:
+        if cfg.mesh_dump:
+            pipe.write_mesh_dump()
+        return _run_stages(pipe, subcommand)
+    except OSError as exc:  # only the output writes touch the file system
+        where = exc.filename or out
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
-    stages = [subcommand] if subcommand != "all" else [
-        "scan",
-        "conjugate",
-        "crossing",
-        "verify-index",
-        "bifurcate",
-    ]
+
+def _run_stages(pipe: Pipeline, subcommand: str) -> int:
+    """The stages of one subcommand; returns the exit code."""
+    stages = SUBCOMMANDS[:-1] if subcommand == "all" else (subcommand,)
     code = EXIT_OK
     try:
         if "verify-index" in stages:
@@ -386,8 +389,8 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
                     )
                     code = EXIT_VERIFY
     except DegenerateRadiusOneError as exc:
+        (pipe.out / "index_report.txt").write_text(f"ABORT degenerate_at_r1: {exc}\n")
         print(f"degenerate endpoint: {exc}", file=sys.stderr)
-        (out / "index_report.txt").write_text(f"ABORT degenerate_at_r1: {exc}\n")
         return EXIT_DEGENERATE
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

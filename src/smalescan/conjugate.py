@@ -63,7 +63,6 @@ R_MIN_FLOOR = 1e-3
 BISECTION_TOL = {1: 1e-8, 2: 1e-6}
 KERNEL_RESIDUAL_TOL = 1e-6
 KERNEL_THRESHOLD_AT_ONE = 1e-7
-DEFAULT_GRID_POINTS = 200
 
 
 class VerificationError(RuntimeError):

@@ -56,7 +56,6 @@ class Mesh:
     """
 
     dim: int
-    resolution: int
     nodes: np.ndarray                 # (N, dim)
     elements: np.ndarray              # (ne, dim + 1) node indices
     boundary_nodes: np.ndarray        # (N,) bool
@@ -104,7 +103,6 @@ def _build_mesh_1d(res: int) -> Mesh:
     boundary[0] = boundary[-1] = True
     return Mesh(
         dim=1,
-        resolution=res,
         nodes=nodes,
         elements=elements,
         boundary_nodes=boundary,
@@ -189,7 +187,6 @@ def _build_mesh_2d(rings: int) -> Mesh:
 
     return Mesh(
         dim=2,
-        resolution=R,
         nodes=nodes,
         elements=elements,
         boundary_nodes=boundary,

@@ -93,12 +93,20 @@ class TestConfigParsing:
         block = text.split("```ini\n", 1)[1].split("```", 1)[0]
         keys = [line.split("=")[0].strip() for line in block.splitlines()
                 if not line.lstrip().startswith("#")]
-        assert keys == list(cli._SCHEMA)
+        assert keys == list(cli._KEYS)
 
     def test_r_min_floor(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG_1D.replace("scan.r_min = 0.001", "scan.r_min = 1e-5"))
         with pytest.raises(cli.ConfigError, match="r_min"):
+            cli.load_config(path)
+
+    def test_grid_without_room_below_1(self, tmp_path):
+        # 200 points on [r_min, 1] are closer than the doubles near 1.
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_1D.replace("scan.r_min = 0.001", "scan.r_min = 0.99999999999999")
+                        .replace("scan.grid_points = 100", "scan.grid_points = 200"))
+        with pytest.raises(cli.ConfigError, match="scan.r_min"):
             cli.load_config(path)
 
 
@@ -113,6 +121,23 @@ class TestRun:
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG_1D.replace("mesh.resolution = 400", "mesh.resolution = 1"))
         assert cli.run("scan", path, out_dir=tmp_path / "o") == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("f", [
+        "(" * 400 + "1" + ")" * 400,
+        "-" * 3000 + "1",
+        "+".join(["1"] * 2001),
+        "1" * 200 + "*" + "1" * 200,
+    ], ids=["400_nested_parentheses", "3000_unary_minuses", "2001_term_sum",
+            "200_digit_product"])
+    def test_unusable_potential_exits_1(self, tmp_path, capsys, f):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_1D.replace("-52.210207281762692   # -(2.3 pi)^2", f))
+        out = tmp_path / "o"
+        code = cli.main(["conjugate", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem.f") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_overflowing_potential_exits_1(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -274,6 +299,27 @@ class TestRun:
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand, name, degenerate", [
+        ("scan", "scan.csv", False),
+        ("verify-index", "index_report.txt", False),
+        ("verify-index", "index_report.txt", True),
+    ], ids=["scan.csv", "index_report.txt", "index_report.txt-degenerate"])
+    def test_unwritable_output_exits_1(self, config_file, tmp_path, monkeypatch, capsys,
+                                       subcommand, name, degenerate):
+        # A directory where the output file goes makes its write fail.
+        if degenerate:
+            def singular(asm):
+                raise conjugate.DegenerateRadiusOneError("|lambda_min(H(1), S)| = 0")
+
+            monkeypatch.setattr(conjugate, "endpoint_kernel_gap", singular)
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        code = cli.main([subcommand, "--config", str(config_file), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / name}: ")
         assert err.count("\n") == 1
 
     def test_coarse_kernel_eigensolve_exits_0(self, tmp_path, capsys):

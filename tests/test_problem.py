@@ -120,6 +120,17 @@ class TestFieldGrammar:
         with pytest.raises(ValueError):
             problem.parse_field("sin(x1)", dim=1)
 
+    @pytest.mark.parametrize("text", [
+        "x1**2", "x1/2", "+x1", "__import__('os')", "x1.real", "(lambda: 1)()",
+        "True", "1j",
+        # Nested deeper than Python's parser and compiler accept.
+        pytest.param("(" * 400 + "1" + ")" * 400, id="400_nested_parentheses"),
+        pytest.param("+".join(["1"] * 2001), id="2001_term_sum"),
+    ])
+    def test_rejects_outside_the_grammar(self, text):
+        with pytest.raises(ValueError):
+            problem.parse_field(text, dim=1)
+
     def test_rejects_out_of_range_coordinate(self):
         with pytest.raises(ValueError):
             problem.parse_field("x3", dim=2)
@@ -127,6 +138,20 @@ class TestFieldGrammar:
     def test_rejects_trailing_garbage(self):
         with pytest.raises(ValueError):
             problem.parse_field("1 + 2)", dim=1)
+
+    def test_python_literal_spellings(self):
+        f = problem.parse_field("1_000 + 0x10 * x1", dim=1)
+        assert f(np.array([[0.5]]))[0] == 1008.0
+
+    def test_integer_literals_are_doubles(self):
+        # A product of integer literals overflows to inf, as in doubles.
+        f = problem.parse_field("1" * 200 + "*" + "1" * 200, dim=1)
+        assert f(np.array([[0.0]]))[0] == np.inf
+
+    @pytest.mark.parametrize("text", ["2", "x2", "x1 - r2"])
+    def test_values_are_a_float_array_per_point(self, text):
+        out = problem.parse_field(text, dim=2)(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert out.dtype == float and out.shape == (2,)
 
     def test_vectorized(self):
         f = problem.parse_field("r2", dim=2)
