@@ -2,9 +2,9 @@
 
 The semilinear residual vanishes identically at u = 0 for every r; a
 branch of nontrivial solutions can only leave the trivial line at a
-conjugate radius.  This module traces such branches (warm-started
-damped Newton, seeded along the kernel direction with the pitchfork
-amplitude of the local normal form) and confirms that their norm
+conjugate radius.  This module traces such branches (damped Newton with
+a secant predictor, seeded along the kernel direction with the
+pitchfork amplitude of the local normal form) and confirms that their norm
 vanishes into the crossing.  Like the stages of ``conjugate``, every
 function takes the problem's ``fem.Assembler`` first.
 """
@@ -158,11 +158,13 @@ def trace_branch(
     sqrt(-lambda(r_1)/K4(r_1)), where lambda is the Rayleigh quotient of
     the kernel vector and K4 its cubic residual coefficient; the bare
     sqrt(step) scale is the fallback when the local normal form gives no
-    usable sign (e.g. linear problems).  Afterwards the previous
-    solution warm-starts the next radius.  A collapse onto the trivial
-    solution is retried once from doubled amplitude; if the branch is
-    still lost the trace reports a one-sided failure (the opposite
-    direction may carry the branch).
+    usable sign (e.g. linear problems).  The second radius starts from
+    the first solution; from the third on, the guess is the secant
+    prediction 2 u_{j-1} - u_{j-2}, the line through the last two
+    solutions.  A collapse onto the trivial solution is retried once
+    from the doubled guess; if the branch is still lost the trace
+    reports a one-sided failure (the opposite direction may carry the
+    branch).
 
     The trace is confirmed when every sample is nontrivial, the norms
     decrease monotonically into r*, and the extrapolated zero of
@@ -196,7 +198,9 @@ def trace_branch(
             failure = f"branch lost to the trivial solution at r = {r_j:.6f}"
             break
         samples.append(sample)
-        guess = sample.u
+        # Secant predictor: linear extrapolation through the last two
+        # solutions (the radii are equally spaced).
+        guess = sample.u if len(samples) < 2 else 2.0 * sample.u - samples[-2].u
 
     confirmed = False
     intercept = None

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import List, get_type_hints
+from typing import List, Optional, get_type_hints
 
 import numpy as np
 
@@ -60,7 +60,9 @@ def _to_bool(text: str) -> bool:
 @dataclass(kw_only=True)
 class RunConfig:
     """Field ``section_key`` holds config key ``section.key``, converted
-    by its annotation; a field without a default is a required key."""
+    by its annotation; a field without a default is a required key.
+    ``models``, no config key, holds the (MetricModel, ProblemSpec) that
+    ``load_config`` built while validating."""
 
     metric_kappa: float = 0.0
     problem_f: str
@@ -73,11 +75,12 @@ class RunConfig:
     branch_steps: int = 50
     branch_step_size: float = 1e-3
     output_dir: str = "out"
+    models: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 _TYPES = get_type_hints(RunConfig)
 # config key -> its RunConfig field
-_KEYS = {f.name.replace("_", ".", 1): f for f in fields(RunConfig)}
+_KEYS = {f.name.replace("_", ".", 1): f for f in fields(RunConfig) if f.init}
 
 
 def load_config(path) -> RunConfig:
@@ -108,16 +111,17 @@ def load_config(path) -> RunConfig:
             values[name] = conv(text.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    for key, field in _KEYS.items():
-        if field.name not in values and field.default is MISSING:
+    for key, fld in _KEYS.items():
+        if fld.name not in values and fld.default is MISSING:
             raise ConfigError(f"missing required config key {key!r}")
 
     cfg = RunConfig(**values)
-    _validate(cfg)
+    cfg.models = _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig):
+    """Check every key; returns the config's models (see ``_models``)."""
     if cfg.mesh_dim not in (1, 2):
         raise ConfigError(f"mesh.dim must be 1 or 2, got {cfg.mesh_dim}")
     min_resolution = 2 if cfg.mesh_dim == 1 else 1
@@ -143,13 +147,14 @@ def _validate(cfg: RunConfig):
         raise ConfigError("branch.steps must be >= 2")
     if cfg.branch_step_size <= 0.0:
         raise ConfigError("branch.step_size must be positive")
-    _, spec = _models(cfg)
+    met, spec = _models(cfg)
     # Center, axis ends and a diagonal point of the unit ball.
     d = cfg.mesh_dim
     probe = np.vstack([np.zeros(d), np.eye(d), -np.eye(d), np.full(d, d ** -0.5)])
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.all(np.isfinite(spec.f(probe))):
             raise ConfigError("problem.f is not finite on the unit ball")
+    return met, spec
 
 
 def _scan_grid(cfg: RunConfig) -> np.ndarray:
@@ -193,7 +198,7 @@ class Pipeline:
         self.out = out_dir
         self.threads = threads
         mesh = fem.build_mesh(cfg.mesh_dim, cfg.mesh_resolution)
-        self.assembler = Assembler(mesh, *_models(cfg))
+        self.assembler = Assembler(mesh, *cfg.models)
         self._scan = None
         self._conjugates = None
 

@@ -246,9 +246,15 @@ class Assembler:
     with c = f for H(r) and c = dV/du(r x, u) for J(r, u), so J(r, 0)
     equals H(r) exactly.  A matrix is one ``np.bincount`` into the slots
     followed by 0.5 (d + d[transpose]), which is exactly symmetric.  The
-    mass and nonlinear terms read only w from the metric.  ``h``,
-    ``jacobian`` and ``residual`` write no state, so ``h`` may run
-    concurrently.
+    mass and nonlinear terms read only w from the metric.
+
+    The r-only data (K_t, mass_w w and f at the mass points) of the last
+    radius sits in one slot, a tuple ``(r, K, mass_w w, f)``: Newton
+    continuation calls ``residual`` and ``jacobian`` many times at one r,
+    and they recompute it only on a new r.  The slot is read once and
+    replaced as a whole tuple, never mutated, and its arrays are read
+    only, so concurrent ``h`` calls at different radii each compute
+    from a consistent tuple; a race costs at most a recomputation.
     """
 
     def __init__(self, mesh: Mesh, metric: MetricModel, spec: ProblemSpec):
@@ -276,6 +282,7 @@ class Assembler:
             self._element_stiffness(w[:, None, None] * np.eye(mesh.dim))
         )
         self._lu_S = None
+        self._at_r = None  # (r, K, mass_w w, f) of the last radius
 
     # -- geometry -----------------------------------------------------------
 
@@ -364,6 +371,21 @@ class Assembler:
         fv = self.spec.f_values((r * self.mass_pts).reshape(-1, d))
         return self.mass_w * w, fv.reshape(ne, qm)
 
+    def _r_data(self, r: float):
+        """(K, mass_w w, f) at r, from the slot when r is the last radius."""
+        slot = self._at_r
+        if slot is None or slot[0] != r:
+            # Release the old radius's data first: kept while the new is
+            # built, it would raise peak memory by one slot.
+            slot = self._at_r = None
+            K, w = self._stiffness(r)
+            wq, fq = self._mass_data(r, w)
+            for a in (K, wq, fq):
+                a.flags.writeable = False
+            slot = (r, K, wq, fq)
+            self._at_r = slot
+        return slot[1:]
+
     def _scatter(self, elem_mats: np.ndarray) -> sp.csr_matrix:
         nnz = self._indices.size
         d = np.bincount(self._slot, weights=elem_mats.ravel(), minlength=nnz + 1)[:nnz]
@@ -393,22 +415,19 @@ class Assembler:
     def h(self, r: float) -> sp.csr_matrix:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"scale parameter r = {r} outside [0, 1]")
-        K, w = self._stiffness(r)
-        wq, fq = self._mass_data(r, w)
+        K, wq, fq = self._r_data(r)
         return self._scatter(K + r * r * ((wq * fq) @ self._phi2))
 
     def jacobian(self, r: float, u: np.ndarray) -> sp.csr_matrix:
         _, uq = self._element_values(u)
-        K, w = self._stiffness(r)
-        wq, fq = self._mass_data(r, w)
+        K, wq, fq = self._r_data(r)
         cq = self.spec.dv_values(fq, uq)
         return self._scatter(K + r * r * ((wq * cq) @ self._phi2))
 
     def residual(self, r: float, u: np.ndarray) -> np.ndarray:
         ue, uq = self._element_values(u)
         ne, nv = ue.shape
-        K, w = self._stiffness(r)
-        wq, fq = self._mass_data(r, w)
+        K, wq, fq = self._r_data(r)
         Fe = (K.reshape(ne, nv, nv) @ ue[:, :, None])[:, :, 0]
         Fe += r * r * ((wq * self.spec.v_values(fq, uq)) @ self.mass_phi.T)
         F = np.bincount(

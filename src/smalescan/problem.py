@@ -48,7 +48,7 @@ class ProblemSpec:
         return np.full(P.shape[0], float(self.f))
 
     def v_values(self, fvals: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return fvals * xi + self.cubic_b * xi ** 3
+        return fvals * xi + self.cubic_b * (xi * xi * xi)
 
     def dv_values(self, fvals: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return fvals + 3.0 * self.cubic_b * xi ** 2

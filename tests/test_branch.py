@@ -125,6 +125,25 @@ class TestTraceBranch:
         slope_asym = reference.amplitude_exponent(tr, (1e-3, 1e-2))
         assert 0.45 <= slope_asym <= 0.55
 
+    def test_work_per_trace(self, osc_cubic, monkeypatch):
+        # The r-only data is computed once per radius, and the secant
+        # predictor needs fewer Newton iterations than restarting each
+        # radius from the previous solution, which took 252 here.
+        asm, cj = osc_cubic
+        asm = Assembler(asm.mesh, asm.metric, asm.spec)  # empty radius slot
+        calls = []
+        coefficients = metric.coefficients
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return coefficients(*args, **kwargs)
+
+        monkeypatch.setattr(metric, "coefficients", counted)
+        tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], +1, 100, 1e-3)
+        assert tr.confirmed
+        assert len(calls) == len({s.r for s in tr.samples}) == 100
+        assert sum(s.newton_iters for s in tr.samples) < 252
+
     def test_subcritical_side_reports_one_sided_failure(self, osc_cubic):
         asm, cj = osc_cubic
         tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], -1, 20, 1e-3)

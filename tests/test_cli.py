@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smalescan import branch, cli, conjugate, spectral
+from smalescan import branch, cli, conjugate, problem, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -41,7 +41,7 @@ class TestConfigParsing:
         # No selector key: kappa and b alone fix the curved, cubic model.
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_1D + "metric.kappa = 1.0\n")
-        met, spec = cli._models(cli.load_config(path))
+        met, spec = cli.load_config(path).models
         assert met.kappa == 1.0
         assert spec.cubic_b == 1.0
 
@@ -85,7 +85,7 @@ class TestConfigParsing:
             "oscillator_1d.cfg": (0.0, 1.0),
             "sphere_cap_2d.cfg": (1.0, 0.0),
         }
-        met, spec = cli._models(cli.load_config(CONFIG_DIR / name))
+        met, spec = cli.load_config(CONFIG_DIR / name).models
         assert (met.kappa, spec.cubic_b) == kappa_b[name]
 
     def test_readme_lists_every_config_key(self):
@@ -385,6 +385,19 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "index_report.txt").read_text().startswith("mu=4 sum_m=4 PASS")
+
+    def test_potential_parsed_once_per_run(self, config_file, tmp_path, monkeypatch):
+        calls = []
+        parse_field = problem.parse_field
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return parse_field(*args, **kwargs)
+
+        monkeypatch.setattr(problem, "parse_field", counted)
+        code = cli.main(["scan", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_OK
+        assert len(calls) == 1
 
     def test_zero_threads_exits_1(self, config_file, tmp_path, capsys):
         out = tmp_path / "o"

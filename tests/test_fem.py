@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,63 @@ def test_assembly_matches_reference(dim, res, kappa, r):
         assert abs(new - new.T).max() == 0.0
     res_new = asm.residual(r, u)
     assert np.max(np.abs(res_new - F)) <= 1e-13 * np.max(np.abs(F))
+
+
+@pytest.mark.parametrize("dim,res,kappa", [(1, 40, 0.0), (2, 6, 1.0)],
+                         ids=["1d-40", "cap-6"])
+def test_radius_slot_matches_fresh_assembler(dim, res, kappa):
+    # Interleaved radii reuse and replace the slot of the last radius;
+    # every form must equal a fresh assembler's bit for bit.  The
+    # potential varies in x, since the 1D stiffness is the same at every r.
+    mesh = fem.build_mesh(dim, res)
+    met = metric.constant_curvature(kappa)
+    spec = problem.cubic_problem(problem.parse_field("3*r2 - 20", dim), 1.5)
+    asm = fem.Assembler(mesh, met, spec)
+    u = 0.5 * np.random.default_rng(12).standard_normal(mesh.n_interior)
+    zero = np.zeros(mesh.n_interior)
+
+    def fresh():
+        return fem.Assembler(mesh, met, spec)
+
+    for r in (0.37, 0.81, 0.37):
+        for _ in range(2):  # a new radius, then a repeat of it
+            for got, want in ((asm.h(r), fresh().h(r)),
+                              (asm.jacobian(r, u), fresh().jacobian(r, u))):
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.data, want.data)
+            assert np.array_equal(asm.residual(r, u), fresh().residual(r, u))
+        assert np.max(np.abs((asm.jacobian(r, zero) - asm.h(r)).toarray())) == 0.0
+
+
+def test_concurrent_h_at_interleaved_radii():
+    # Threads calling h at different radii share the slot; a torn read
+    # (r of one radius, data of another) would change some matrix.
+    mesh = fem.build_mesh(2, 6)
+    asm = fem.Assembler(mesh, metric.constant_curvature(1.0),
+                        problem.cubic_problem(problem.parse_field("3*r2 - 20", 2), 1.5))
+    radii = (0.2, 0.5, 0.8)
+    want = {r: asm.h(r).data.copy() for r in radii}
+    bad = []
+
+    def worker(k):
+        for i in range(60):
+            r = radii[(i + k) % len(radii)]
+            if not np.array_equal(asm.h(r).data, want[r]):
+                bad.append(r)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_1d_eigenvalue_convergence_is_second_order():

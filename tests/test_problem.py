@@ -53,6 +53,20 @@ def test_cubic_arithmetic():
     assert spec.v_values(fvals, np.array([0.1]))[0] == pytest.approx(-5.2369, abs=1e-12)
 
 
+def test_cubic_values_and_derivative():
+    spec = problem.cubic_problem(-7.5, 1.3)
+    rng = np.random.default_rng(3)
+    fvals = rng.uniform(-10.0, 10.0, (2000, 3))
+    xi = rng.uniform(-3.0, 3.0, (2000, 3))
+    # Relative to the size of the terms: their sum may cancel.
+    scale = np.abs(fvals * xi) + np.abs(1.3 * xi ** 3)
+    err = np.abs(spec.v_values(fvals, xi) - (fvals * xi + 1.3 * xi ** 3))
+    assert np.all(err <= 1e-15 * scale)
+    h = 1e-5
+    fd = (spec.v_values(fvals, xi + h) - spec.v_values(fvals, xi - h)) / (2 * h)
+    assert np.allclose(spec.dv_values(fvals, xi), fd, rtol=1e-8, atol=1e-8)
+
+
 def test_fd_derivative_of_V_is_f():
     # (V(y, eps) - V(y, -eps)) / (2 eps) -> f(y)
     f = problem.parse_field("x1 - 0.5*r2 + 2", dim=2)
