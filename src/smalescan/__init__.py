@@ -7,8 +7,8 @@ multiplicities, and confirms bifurcation of nontrivial semilinear
 solutions at the located radii.
 """
 
-from .metric import MetricModel, constant_curvature, euclidean
-from .problem import ProblemSpec, cubic_problem, linear_problem, parse_field
+from .metric import MetricModel
+from .problem import ProblemSpec, parse_field
 from .fem import Assembler, Mesh, build_mesh
 from .spectral import EigenPairs, inertia, kernel_eigenpairs
 from .conjugate import (

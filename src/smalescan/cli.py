@@ -138,7 +138,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError("scan.r_min must be < 1")
     if cfg.scan_grid_points < 2:
         raise ConfigError("scan.grid_points must be >= 2")
-    if np.any(np.diff(_scan_grid(cfg)) <= 0.0):
+    try:
+        grid = _scan_grid(cfg)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the allocation
+        raise ConfigError(f"scan.grid_points = {cfg.scan_grid_points}: {exc}") from exc
+    if np.any(np.diff(grid) <= 0.0):
         raise ConfigError(
             f"scan.r_min = {cfg.scan_r_min!r} leaves no room for "
             f"{cfg.scan_grid_points} strictly ascending grid points up to 1"

@@ -13,11 +13,12 @@ The crossing form on the kernel at r* is computed two independent
 ways: as the central difference of the assembled bilinear form in r
 (the precision anchor), and as the boundary integral
 
-    Gamma[u] = -(1/r*) int_{dB} <grad u, x>^2 <A(r* x) x, x> dS
+    Gamma(u, v) = -(1/r*) int_{dB} <grad u, x> <grad v, x> <A(r* x) x, x> dS,
 
-evaluated with elementwise-constant gradients from boundary-adjacent
-elements (the formula witness).  Their agreement, the negative
-definiteness of the form, and the index identity
+one bilinear sum over the boundary rule of ``fem.Assembler`` for all
+kernel columns at once, with elementwise-constant gradients of the
+boundary-adjacent elements (the formula witness).  Their agreement, the
+negative definiteness of the form, and the index identity
 
     mu(H(1)) = sum of multiplicities over 0 < r < 1
 
@@ -286,64 +287,28 @@ def crossing_form_fd(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
     return G
 
 
-def _boundary_quadratic_2d(asm: Assembler, r0: float, ufull: np.ndarray) -> float:
-    mesh = asm.mesh
-    edges = mesh.boundary_edges
-    tris = mesh.boundary_elements
-    p0 = mesh.nodes[edges[:, 0]]
-    p1 = mesh.nodes[edges[:, 1]]
-    length = np.linalg.norm(p1 - p0, axis=1)
-    # Elementwise-constant gradient of the adjacent triangle.
-    ue = ufull[mesh.elements[tris]]
-    gu = np.einsum("tia,ti->ta", asm.grads[tris], ue)
-    total = 0.0
-    # Two-point Gauss along each straight edge.
-    for s in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
-        x = (1.0 - s) * p0 + s * p1
-        # A x = w(r0 |x|) x for radial x.
-        xx = np.einsum("ta,ta->t", x, x)
-        w, _ = metric_mod.coefficients(asm.metric, r0 * np.sqrt(xx), 2)
-        axx = w * xx
-        gux = np.einsum("ta,ta->t", gu, x)
-        total += 0.5 * np.sum(length * gux * gux * axx)
-    return -total / r0
-
-
-def _boundary_quadratic_1d(asm: Assembler, r0: float, ufull: np.ndarray) -> float:
-    mesh = asm.mesh
-    h_left = mesh.nodes[1, 0] - mesh.nodes[0, 0]
-    h_right = mesh.nodes[-1, 0] - mesh.nodes[-2, 0]
-    du_left = (ufull[1] - ufull[0]) / h_left
-    du_right = (ufull[-1] - ufull[-2]) / h_right
-    # <A x, x> = w = 1 at x = +-1: the 1D space forms are flat.
-    return -(du_right ** 2 + du_left ** 2) / r0
-
-
 def crossing_form_boundary(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
     """Crossing form by the boundary integral, independent of the fd route.
 
-    In 1D the integral degenerates to the two-endpoint sum.  Off-diagonal
-    entries come from the polarization identity
-    Gamma(u, v) = (Gamma[u + v] - Gamma[u - v]) / 4.
+    G = -(1/r*) sum_tq c_tq g_tq g_tq^T over the boundary rule, with
+    g = <grad u, x> per kernel column and c = weight w(r* |x|) |x|^2, that
+    is <A(r* x) x, x> dS for radial x; symmetrized, so exactly symmetric.
     """
     mesh = asm.mesh
     r0 = conj.r_star
-    quad = _boundary_quadratic_1d if mesh.dim == 1 else _boundary_quadratic_2d
-    int_idx = np.flatnonzero(~mesh.boundary_nodes)
-
-    def q(u):
-        full = np.zeros(mesh.n_nodes)
-        full[int_idx] = u
-        return quad(asm, r0, full)
-
     V = conj.kernel_basis
-    m = V.shape[1]
-    G = np.empty((m, m))
-    for i in range(m):
-        G[i, i] = q(V[:, i])
-        for j in range(i + 1, m):
-            G[i, j] = G[j, i] = 0.25 * (q(V[:, i] + V[:, j]) - q(V[:, i] - V[:, j]))
-    return G
+    full = np.zeros((mesh.n_nodes, V.shape[1]))
+    full[~mesh.boundary_nodes] = V
+    t = asm.bd_elements
+    # Elementwise-constant gradients of the adjacent elements, (nb, d, m).
+    gu = np.einsum("tia,tim->tam", asm.grads[t], full[mesh.elements[t]])
+    x = asm.bd_pts
+    gux = np.einsum("tqa,tam->tqm", x, gu)
+    xx = np.einsum("tqa,tqa->tq", x, x)
+    w, _ = metric_mod.coefficients(asm.metric, r0 * np.sqrt(xx), mesh.dim)
+    c = asm.bd_w * w * xx
+    G = -np.einsum("tq,tqi,tqj->ij", c, gux, gux) / r0
+    return 0.5 * (G + G.T)
 
 
 def verify_crossing(asm: Assembler, conj: ConjugateRadius) -> CrossingFormReport:

@@ -18,7 +18,9 @@ Quadrature: the gradient terms use the midpoint rule (1D) and the
 3-point barycentric rule (2D); the weighted mass / nonlinear terms use
 3-point Gauss (1D) and the 7-point degree-5 rule (2D), which integrates
 the cubic nonlinearity of P1 functions exactly in 1D and near-exactly
-in 2D.
+in 2D.  The boundary rule (for the boundary crossing form) is the two
+end points with weight 1 (1D) and 2-point Gauss with weight length/2
+on every boundary edge (2D), each point in its adjacent element.
 
 Assembly: the interior CSR pattern, the slot in it of every element
 entry and its transpose permutation are built once per mesh.  Every
@@ -163,28 +165,12 @@ def _build_mesh_2d(rings: int) -> Mesh:
     boundary = np.zeros(len(nodes), dtype=bool)
     boundary[ring_start[R]:] = True
 
-    # Boundary edges: edges used by exactly one triangle, oriented as in
-    # that triangle.
-    edge_owner = {}
-    for t, (a, b, c) in enumerate(elements):
-        for p, q in ((a, b), (b, c), (c, a)):
-            key = (min(p, q), max(p, q))
-            if key in edge_owner:
-                edge_owner[key] = None
-            else:
-                edge_owner[key] = (t, p, q)
-    b_edges, b_tris = [], []
-    for key, val in edge_owner.items():
-        if val is not None:
-            t, p, q = val
-            b_edges.append((p, q))
-            b_tris.append(t)
-    order = np.argsort([min(e) for e in b_edges], kind="stable")
-    b_edges = np.asarray(b_edges, dtype=int)[order]
-    b_tris = np.asarray(b_tris, dtype=int)[order]
-    if not np.all(np.asarray(boundary)[b_edges].all(axis=1)):
-        raise RuntimeError("boundary edge with interior node")
-
+    # Boundary edges: the boundary-node pair of each triangle with two
+    # boundary nodes (the outer strip, or the center fan when R = 1), in
+    # that triangle's order.
+    on_bd = boundary[elements]
+    b_tris = np.flatnonzero(on_bd.sum(axis=1) == 2)
+    b_edges = elements[b_tris][on_bd[b_tris]].reshape(-1, 2)
     return Mesh(
         dim=2,
         nodes=nodes,
@@ -228,17 +214,22 @@ _TRI3_W = np.full(3, 1.0 / 3.0)
 _G3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _G3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
+# 2-point Gauss on [0, 1], each point of weight 1/2.
+_G2_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+
 
 class Assembler:
     """Caches mesh geometry, quadrature data and the interior scatter.
 
     Per mesh, once: element gradients, quadrature points x, |x| and
-    e e^T (e = x/|x|), the interior CSR pattern (the pairs of interior
-    nodes sharing an element, rows and columns sorted), the slot in its
-    ``data`` of every element entry, the permutation mapping ``data``
-    onto that of the transpose, and the Gram matrix.  Per call, with
-    gw = grad_w and (w, a) = ``metric.coefficients`` at r|x|, every form
-    goes through two element kernels
+    e e^T (e = x/|x|), the boundary rule (``bd_elements``, ``bd_pts``,
+    ``bd_w``: adjacent element, points and weights), the interior CSR
+    pattern (the pairs of interior nodes sharing an element, rows and
+    columns sorted), the slot in its ``data`` of every element entry,
+    the permutation mapping ``data`` onto that of the transpose, and the
+    Gram matrix.  Per call, with gw = grad_w and (w, a) =
+    ``metric.coefficients`` at r|x|, every form goes through two element
+    kernels
 
         stiffness  W_t = (sum_q gw a) I + sum_q gw (w - a) e e^T,   K_t = G_t W_t G_t^T
         mass       M_t = (mass_w w c)_t @ Phi,  Phi[q, i nv + j] = phi_i phi_j
@@ -265,7 +256,7 @@ class Assembler:
             self._setup_1d()
         else:
             self._setup_2d()
-        nv = self.elem_nodes.shape[1]
+        nv = mesh.elements.shape[1]
         phi = self.mass_phi
         self._phi2 = np.ascontiguousarray(
             (phi[:, None, :] * phi[None, :, :]).reshape(nv * nv, -1).T
@@ -288,7 +279,6 @@ class Assembler:
 
     def _setup_1d(self):
         mesh = self.mesh
-        self.elem_nodes = mesh.elements
         verts = mesh.nodes[mesh.elements][:, :, 0]     # (ne, 2)
         h = verts[:, 1] - verts[:, 0]
         if np.any(h <= 1e-14):
@@ -302,10 +292,13 @@ class Assembler:
         self.mass_w = 0.5 * h[:, None] * _G3_W[None, :]
         lam1 = 0.5 * (1.0 + _G3_X)
         self.mass_phi = np.stack([1.0 - lam1, lam1], axis=0)  # (nv, qm) = (2, 3)
+        # The boundary is the two end points, each of weight 1.
+        self.bd_elements = np.array([0, len(h) - 1])
+        self.bd_pts = mesh.nodes[[0, -1]][:, None, :]      # (2, 1, 1)
+        self.bd_w = np.ones((2, 1))
 
     def _setup_2d(self):
         mesh = self.mesh
-        self.elem_nodes = mesh.elements
         v = mesh.nodes[mesh.elements]                      # (ne, 3, 2)
         e1 = v[:, 1] - v[:, 0]
         e2 = v[:, 2] - v[:, 0]
@@ -321,6 +314,12 @@ class Assembler:
         self.mass_pts = np.einsum("qi,tid->tqd", _TRI7_BARY, v)
         self.mass_w = area[:, None] * _TRI7_W[None, :]
         self.mass_phi = _TRI7_BARY.T                       # (3, 7)
+        # 2-point Gauss along each straight boundary edge.
+        p0, p1 = mesh.nodes[mesh.boundary_edges.T[:, :, None]]  # (nb, 1, 2) each
+        s = _G2_S[:, None]
+        self.bd_elements = mesh.boundary_elements
+        self.bd_pts = (1.0 - s) * p0 + s * p1              # (nb, 2, 2)
+        self.bd_w = 0.5 * np.linalg.norm(p1 - p0, axis=2).repeat(2, axis=1)
 
     def _setup_scatter(self):
         """Interior CSR pattern, element-entry slots, transpose permutation.
@@ -330,7 +329,7 @@ class Assembler:
         a boundary node go to the extra slot nnz, which is discarded.
         """
         n = self.mesh.n_interior
-        dof = self.mesh.interior_dof_map[self.elem_nodes]  # (ne, nv)
+        dof = self.mesh.interior_dof_map[self.mesh.elements]  # (ne, nv)
         nv = dof.shape[1]
         rows = np.repeat(dof, nv, axis=1).ravel()
         cols = np.tile(dof, (1, nv)).ravel()
@@ -399,7 +398,7 @@ class Assembler:
         """Nodal values per element (ne, nv) and values at the mass points."""
         full = np.zeros(self.mesh.n_nodes)
         full[self._int_idx] = u
-        ue = full[self.elem_nodes]
+        ue = full[self.mesh.elements]
         return ue, ue @ self.mass_phi
 
     # -- public assembly ------------------------------------------------------
@@ -431,6 +430,6 @@ class Assembler:
         Fe = (K.reshape(ne, nv, nv) @ ue[:, :, None])[:, :, 0]
         Fe += r * r * ((wq * self.spec.v_values(fq, uq)) @ self.mass_phi.T)
         F = np.bincount(
-            self.elem_nodes.ravel(), weights=Fe.ravel(), minlength=self.mesh.n_nodes
+            self.mesh.elements.ravel(), weights=Fe.ravel(), minlength=self.mesh.n_nodes
         )
         return F[self._int_idx]

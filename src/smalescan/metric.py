@@ -23,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "MetricModel",
-    "euclidean",
-    "constant_curvature",
     "coefficients",
 ]
 
@@ -59,16 +57,6 @@ class MetricModel:
                 "the unit ball (need sqrt(-kappa) < %g)"
                 % (self.kappa, MAX_SQRT_NEG_KAPPA)
             )
-
-
-def euclidean() -> MetricModel:
-    """Flat metric, curvature 0: w = a = 1 everywhere."""
-    return MetricModel()
-
-
-def constant_curvature(kappa: float) -> MetricModel:
-    """Space form of sectional curvature ``kappa`` in normal coordinates."""
-    return MetricModel(float(kappa))
 
 
 def _sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:

@@ -24,8 +24,6 @@ import numpy as np
 
 __all__ = [
     "ProblemSpec",
-    "linear_problem",
-    "cubic_problem",
     "parse_field",
 ]
 
@@ -52,15 +50,6 @@ class ProblemSpec:
 
     def dv_values(self, fvals: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return fvals + 3.0 * self.cubic_b * xi ** 2
-
-
-def linear_problem(f) -> ProblemSpec:
-    """V = f xi: the cubic with b = 0."""
-    return ProblemSpec(f)
-
-
-def cubic_problem(f, b: float) -> ProblemSpec:
-    return ProblemSpec(f, float(b))
 
 
 # Node types a potential may contain: sums, differences, products,

@@ -139,7 +139,7 @@ def reference_assembly(asm, r, u):
     E is the discrete energy, whose exact gradient is F.
     """
     mesh, met, spec = asm.mesh, asm.metric, asm.spec
-    nodes, phi = asm.elem_nodes, asm.mass_phi
+    nodes, phi = asm.mesh.elements, asm.mass_phi
     ne, nv = nodes.shape
     N = mesh.n_nodes
     interior = np.flatnonzero(~mesh.boundary_nodes)

@@ -39,8 +39,8 @@ def _announce(n, label):
 def osc_pipeline():
     """Criterion 1 scenario: f = -(2.3 pi)^2, resolution 2000, 1D."""
     mesh = fem.build_mesh(1, 2000)
-    met = metric.euclidean()
-    spec = problem.linear_problem(-C_OSC)
+    met = metric.MetricModel()
+    spec = problem.ProblemSpec(-C_OSC)
     asm = Assembler(mesh, met, spec)
     t0 = time.perf_counter()
     sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 200))
@@ -56,8 +56,8 @@ def osc_pipeline():
 def disc_pipeline():
     """Criterion 2 scenario: Euclidean disc, f = -36, 60 rings."""
     mesh = fem.build_mesh(2, 60)
-    met = metric.euclidean()
-    spec = problem.linear_problem(-36.0)
+    met = metric.MetricModel()
+    spec = problem.ProblemSpec(-36.0)
     asm = Assembler(mesh, met, spec)
     t0 = time.perf_counter()
     sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 200))
@@ -103,8 +103,8 @@ def sphere_pipeline():
     oracle.sort()
 
     mesh = fem.build_mesh(2, 40)
-    met = metric.constant_curvature(1.0)
-    spec = problem.linear_problem(-36.0)
+    met = metric.MetricModel(1.0)
+    spec = problem.ProblemSpec(-36.0)
     asm = Assembler(mesh, met, spec)
     sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 200))
     conjs = conjugate.find_conjugate_radii(asm, sc)
@@ -157,7 +157,7 @@ def test_criterion_3_crossing_form_agreement(osc_pipeline, disc_pipeline):
     # 1D: two-method agreement <= 1%, closed form -2.3 pi^2 within 0.5%
     p = osc_pipeline
     mesh, met, spec, asm = p["mesh"], p["met"], p["spec"], p["asm"]
-    mass = Assembler(mesh, met, problem.linear_problem(1.0)).h(1.0) - asm.gram()
+    mass = Assembler(mesh, met, problem.ProblemSpec(1.0)).h(1.0) - asm.gram()
     for k, cj in enumerate(p["conjs"], start=1):
         rep = conjugate.verify_crossing(asm, cj)
         assert rep.agreement <= 0.01
@@ -198,7 +198,7 @@ def test_criterion_4_constant_curvature(sphere_pipeline):
 def test_criterion_5_bifurcation_witness(osc_pipeline):
     p = osc_pipeline
     mesh, met = p["mesh"], p["met"]
-    spec = problem.cubic_problem(-C_OSC, 1.0)
+    spec = problem.ProblemSpec(-C_OSC, 1.0)
     asm = Assembler(mesh, met, spec)
     step = 1e-3
     for cj in p["conjs"]:
@@ -236,9 +236,9 @@ def test_criterion_6_property_suite(osc_pipeline, disc_pipeline, sphere_pipeline
     # Jacobian and energy-gradient consistency at 1e-6, both dims
     rng = np.random.default_rng(42)
     scenarios = [
-        (fem.build_mesh(1, 400), metric.euclidean(), problem.cubic_problem(-C_OSC, 1.0)),
-        (fem.build_mesh(2, 8), metric.constant_curvature(1.0),
-         problem.cubic_problem(-12.0, 1.0)),
+        (fem.build_mesh(1, 400), metric.MetricModel(), problem.ProblemSpec(-C_OSC, 1.0)),
+        (fem.build_mesh(2, 8), metric.MetricModel(1.0),
+         problem.ProblemSpec(-12.0, 1.0)),
     ]
     for mesh, met, spec in scenarios:
         asm = Assembler(mesh, met, spec)

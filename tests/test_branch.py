@@ -14,10 +14,10 @@ C_OSC = (2.3 * np.pi) ** 2
 @pytest.fixture(scope="module")
 def osc_cubic():
     mesh = fem.build_mesh(1, 800)
-    met = metric.euclidean()
-    spec = problem.cubic_problem(-C_OSC, 1.0)
+    met = metric.MetricModel()
+    spec = problem.ProblemSpec(-C_OSC, 1.0)
     asm = Assembler(mesh, met, spec)
-    lin = problem.linear_problem(-C_OSC)
+    lin = problem.ProblemSpec(-C_OSC)
     asm_lin = Assembler(mesh, met, lin)
     cj = conjugate.find_conjugate_radii(asm_lin, conjugate.scan(asm_lin, [0.20, 0.23]))[0]
     return asm, cj
@@ -57,8 +57,8 @@ class TestNewton:
 
     def test_linear_problem_only_trivial_solution(self):
         mesh = fem.build_mesh(1, 200)
-        met = metric.euclidean()
-        spec = problem.linear_problem(-10.0)
+        met = metric.MetricModel()
+        spec = problem.ProblemSpec(-10.0)
         asm = Assembler(mesh, met, spec)
         rng = np.random.default_rng(0)
         u0 = 1e-3 * rng.standard_normal(mesh.n_interior)
@@ -152,8 +152,8 @@ class TestTraceBranch:
 
     def test_linear_problem_has_vertical_bifurcation(self):
         mesh = fem.build_mesh(1, 400)
-        met = metric.euclidean()
-        lin = problem.linear_problem(-C_OSC)
+        met = metric.MetricModel()
+        lin = problem.ProblemSpec(-C_OSC)
         asm = Assembler(mesh, met, lin)
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], +1, 10, 1e-3)

@@ -432,3 +432,17 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: metric.kappa:") and err.count("\n") == 1
         assert not out.exists()
+
+    # Grids whose allocation numpy refuses at once: 8e17 bytes exceed any
+    # address space, and 1e19 points exceed numpy's maximum array size.
+    @pytest.mark.parametrize("points", [10 ** 17, 10 ** 19])
+    def test_unallocatable_scan_grid_exits_1(self, tmp_path, capsys, points):
+        path = tmp_path / "huge.cfg"
+        path.write_text(CONFIG_1D.replace("scan.grid_points = 100",
+                                          f"scan.grid_points = {points}"))
+        out = tmp_path / "o"
+        code = cli.main(["scan", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scan.grid_points = {points}: ") and err.count("\n") == 1
+        assert not out.exists()

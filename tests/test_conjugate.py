@@ -14,8 +14,8 @@ C_OSC = (2.3 * np.pi) ** 2
 def osc_1d():
     """1D oscillator at moderate resolution, shared across tests."""
     mesh = fem.build_mesh(1, 800)
-    met = metric.euclidean()
-    spec = problem.linear_problem(-C_OSC)
+    met = metric.MetricModel()
+    spec = problem.ProblemSpec(-C_OSC)
     return Assembler(mesh, met, spec)
 
 
@@ -23,16 +23,16 @@ def osc_1d():
 def disc_2d():
     """Euclidean disc with f = -36 at test-scale resolution."""
     mesh = fem.build_mesh(2, 24)
-    met = metric.euclidean()
-    spec = problem.linear_problem(-36.0)
+    met = metric.MetricModel()
+    spec = problem.ProblemSpec(-36.0)
     return Assembler(mesh, met, spec)
 
 
 class TestScan:
     def test_positive_form_never_negative(self):
         mesh = fem.build_mesh(1, 100)
-        met = metric.euclidean()
-        spec = problem.linear_problem(0.0)
+        met = metric.MetricModel()
+        spec = problem.ProblemSpec(0.0)
         sc = conjugate.scan(Assembler(mesh, met, spec), np.linspace(1e-3, 1.0, 40))
         assert np.all(sc.n_neg == 0)
         assert sc.brackets() == []
@@ -156,7 +156,7 @@ class TestCrossingForms:
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         gamma = conjugate.crossing_form_fd(asm, cj)
         K = asm.gram()
-        M = (Assembler(asm.mesh, asm.metric, problem.linear_problem(1.0)).h(1.0) - K) / 1.0
+        M = (Assembler(asm.mesh, asm.metric, problem.ProblemSpec(1.0)).h(1.0) - K) / 1.0
         v = cj.kernel_basis[:, 0]
         expect = -2.0 * C_OSC * cj.r_star * float(v @ (M @ v))
         # exact up to subtraction noise eps*||K||*||v||^2 / (2 delta)
@@ -173,24 +173,46 @@ class TestCrossingForms:
             r_star=r_star, multiplicity=1, kernel_basis=V, bracket=(r_star, r_star)
         )
         gamma = conjugate.crossing_form_fd(asm, cj)
-        M = Assembler(asm.mesh, asm.metric, problem.linear_problem(1.0)).h(1.0) - asm.gram()
+        M = Assembler(asm.mesh, asm.metric, problem.ProblemSpec(1.0)).h(1.0) - asm.gram()
         expect = -2.0 * C_OSC * r_star * float(V[:, 0] @ (M @ V[:, 0]))
         assert gamma[0, 0] == pytest.approx(expect, rel=1e-6)
 
     def test_boundary_matches_continuum_closed_form(self):
         # continuum: both routes give -2/r* for the S-normalized kernel
         mesh = fem.build_mesh(1, 2000)
-        met = metric.euclidean()
-        spec = problem.linear_problem(-C_OSC)
+        met = metric.MetricModel()
+        spec = problem.ProblemSpec(-C_OSC)
         asm = Assembler(mesh, met, spec)
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         gamma_bd = conjugate.crossing_form_boundary(asm, cj)
         assert gamma_bd[0, 0] == pytest.approx(-2.0 / cj.r_star, rel=1e-4)
 
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_boundary_matches_continuum_closed_form_2d(self, kappa):
+        # u = 1 - |x|^2 has <grad u, x> = -2 on the unit circle, so the
+        # continuum form is -8 pi w(r*)/r*, w = sin(sqrt(k) r)/(sqrt(k) r).
+        # The adjacent-element gradient makes the error O(h).
+        r_star = 0.5
+        w = np.sin(np.sqrt(kappa) * r_star) / (np.sqrt(kappa) * r_star) if kappa else 1.0
+        expect = -8.0 * np.pi * w / r_star
+        err = {}
+        for rings in (20, 40):
+            mesh = fem.build_mesh(2, rings)
+            x = mesh.nodes[~mesh.boundary_nodes]
+            V = (1.0 - np.sum(x * x, axis=1))[:, None]
+            cj = conjugate.ConjugateRadius(
+                r_star=r_star, multiplicity=1, kernel_basis=V, bracket=(r_star, r_star)
+            )
+            asm = Assembler(mesh, metric.MetricModel(kappa), problem.ProblemSpec(0.0))
+            gamma = conjugate.crossing_form_boundary(asm, cj)
+            err[rings] = abs(gamma[0, 0] / expect - 1.0)
+        assert err[40] <= 0.025
+        assert 1.9 <= err[20] / err[40] <= 2.1
+
     def test_two_method_agreement_1d(self):
         mesh = fem.build_mesh(1, 2000)
-        met = metric.euclidean()
-        spec = problem.linear_problem(-C_OSC)
+        met = metric.MetricModel()
+        spec = problem.ProblemSpec(-C_OSC)
         asm = Assembler(mesh, met, spec)
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         rep = conjugate.verify_crossing(asm, cj)
@@ -206,6 +228,7 @@ class TestCrossingForms:
         assert rep.signature == -2
         assert abs(rep.signature) == cj.multiplicity
         assert rep.agreement <= 0.10
+        assert np.array_equal(rep.gamma_bd, rep.gamma_bd.T)
 
     def test_unique_continuation_consequence(self, disc_2d):
         # boundary form strictly negative on every kernel vector
@@ -230,8 +253,8 @@ class TestVerifyIndex:
 
     def test_positive_form_trivial_report(self):
         mesh = fem.build_mesh(1, 100)
-        met = metric.euclidean()
-        spec = problem.linear_problem(0.0)
+        met = metric.MetricModel()
+        spec = problem.ProblemSpec(0.0)
         sc = conjugate.scan(Assembler(mesh, met, spec), [1e-3, 1.0])
         rep = conjugate.verify_index(sc, [])
         assert rep.morse_index_at_1 == 0
@@ -243,8 +266,8 @@ class TestVerifyIndex:
         # fifth crossing engineered at r = 1; high resolution keeps the
         # discrete eigenvalue bias below the kernel threshold
         mesh = fem.build_mesh(1, 24000)
-        met = metric.euclidean()
-        spec = problem.linear_problem(-(2.5 * np.pi) ** 2)
+        met = metric.MetricModel()
+        spec = problem.ProblemSpec(-(2.5 * np.pi) ** 2)
         asm = Assembler(mesh, met, spec)
         with pytest.raises(conjugate.DegenerateRadiusOneError):
             conjugate.endpoint_kernel_gap(asm)
@@ -277,8 +300,8 @@ class TestVerifyIndex:
 def test_disc_full_pipeline_small():
     """End-to-end on a coarse disc: all four crossings, identity, bound."""
     mesh = fem.build_mesh(2, 24)
-    met = metric.euclidean()
-    spec = problem.linear_problem(-36.0)
+    met = metric.MetricModel()
+    spec = problem.ProblemSpec(-36.0)
     asm = Assembler(mesh, met, spec)
     sc = conjugate.scan(asm, np.linspace(1e-3, 1.0, 150))
     conjs = conjugate.find_conjugate_radii(asm, sc)

@@ -18,7 +18,7 @@ def hat_stiffness(n_elem, length=2.0):
 
 def flat_assembler(mesh):
     """Euclidean metric, f = 0: h(r) is the Gram matrix for every r."""
-    return fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(0.0))
+    return fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(0.0))
 
 
 def hat_mass(n_elem, length=2.0):
@@ -63,10 +63,16 @@ class TestMesh:
         assert np.all(areas > 1e-14)
 
     def test_boundary_edge_adjacency(self):
-        mesh = fem.build_mesh(2, 4)
-        for (p, q), t in zip(mesh.boundary_edges, mesh.boundary_elements):
-            tri = set(mesh.elements[t])
-            assert {p, q} <= tri
+        # The boundary edges are the 6R consecutive pairs of the outer
+        # ring (R = 1: the center fan's), each inside its adjacent triangle.
+        for R in (1, 2, 4):
+            mesh = fem.build_mesh(2, R)
+            start, n = 1 + 3 * R * (R - 1), 6 * R
+            ring = {frozenset((start + j, start + (j + 1) % n)) for j in range(n)}
+            assert len(mesh.boundary_edges) == n
+            assert {frozenset(e) for e in mesh.boundary_edges.tolist()} == ring
+            for (p, q), t in zip(mesh.boundary_edges, mesh.boundary_elements):
+                assert {p, q} <= set(mesh.elements[t])
 
     def test_determinism(self):
         a = fem.build_mesh(2, 6)
@@ -91,8 +97,8 @@ class TestAssembleH:
 
     def test_r_zero_is_pure_stiffness_any_metric(self):
         mesh = fem.build_mesh(2, 4)
-        met = metric.constant_curvature(1.0)
-        spec = problem.linear_problem(-17.0)
+        met = metric.MetricModel(1.0)
+        spec = problem.ProblemSpec(-17.0)
         H = fem.Assembler(mesh, met, spec).h(0.0)
         gram = flat_assembler(mesh).gram()
         assert np.allclose(H.toarray(), gram.toarray(), atol=1e-14)
@@ -100,14 +106,14 @@ class TestAssembleH:
     def test_1d_constant_potential_closed_form(self):
         mesh = fem.build_mesh(1, 8)
         c, r = 5.0, 0.6
-        H = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(-c)).h(r)
+        H = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(-c)).h(r)
         expect = hat_stiffness(8) - c * r * r * hat_mass(8)
         assert np.allclose(H.toarray(), expect, atol=1e-13)
 
     def test_symmetry(self):
         mesh = fem.build_mesh(2, 6)
-        H = fem.Assembler(mesh, metric.constant_curvature(1.0),
-                          problem.linear_problem(-9.0)).h(0.7)
+        H = fem.Assembler(mesh, metric.MetricModel(1.0),
+                          problem.ProblemSpec(-9.0)).h(0.7)
         diff = (H - H.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
 
@@ -122,14 +128,14 @@ class TestAssembleH:
             start = 1 + 3 * i * (i - 1)
             perm.extend(start + (j + i) % (6 * i) for j in range(6 * i))
         for kappa in (1.0, -2.0):
-            H = fem.Assembler(mesh, metric.constant_curvature(kappa),
-                              problem.linear_problem(-9.0)).h(0.8).toarray()
+            H = fem.Assembler(mesh, metric.MetricModel(kappa),
+                              problem.ProblemSpec(-9.0)).h(0.8).toarray()
             assert np.max(np.abs(H[np.ix_(perm, perm)] - H)) <= 1e-13 * np.max(np.abs(H))
 
     def test_rejects_bad_r(self):
         mesh = fem.build_mesh(1, 4)
         with pytest.raises(ValueError):
-            fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(0.0)).h(1.5)
+            fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(0.0)).h(1.5)
 
 
 class TestGram:
@@ -153,8 +159,8 @@ class TestGram:
 class TestResidualJacobian:
     def setup_method(self):
         self.mesh = fem.build_mesh(1, 40)
-        self.met = metric.euclidean()
-        self.cubic = problem.cubic_problem(-10.0, 1.0)
+        self.met = metric.MetricModel()
+        self.cubic = problem.ProblemSpec(-10.0, 1.0)
         self.asm = fem.Assembler(self.mesh, self.met, self.cubic)
 
     def test_residual_zero_at_origin(self):
@@ -163,7 +169,7 @@ class TestResidualJacobian:
             assert np.array_equal(res, np.zeros(self.mesh.n_interior))
 
     def test_linear_residual_is_H_u(self):
-        spec = problem.linear_problem(-4.0)
+        spec = problem.ProblemSpec(-4.0)
         asm = fem.Assembler(self.mesh, self.met, spec)
         rng = np.random.default_rng(5)
         u = rng.standard_normal(self.mesh.n_interior)
@@ -177,7 +183,7 @@ class TestResidualJacobian:
         assert np.max(np.abs((J - H).toarray())) == 0.0
 
     def test_linear_jacobian_is_h_for_all_u(self):
-        spec = problem.linear_problem(-4.0)
+        spec = problem.ProblemSpec(-4.0)
         asm = fem.Assembler(self.mesh, self.met, spec)
         rng = np.random.default_rng(6)
         u = rng.standard_normal(self.mesh.n_interior)
@@ -208,8 +214,8 @@ class TestResidualJacobian:
 
     def test_energy_gradient_2d_curved(self):
         mesh = fem.build_mesh(2, 4)
-        asm = fem.Assembler(mesh, metric.constant_curvature(1.0),
-                            problem.cubic_problem(-6.0, 2.0))
+        asm = fem.Assembler(mesh, metric.MetricModel(1.0),
+                            problem.ProblemSpec(-6.0, 2.0))
         rng = np.random.default_rng(9)
         u = 0.2 * rng.standard_normal(mesh.n_interior)
         r = 0.7
@@ -226,8 +232,8 @@ class TestResidualJacobian:
 @pytest.mark.parametrize("r", [0.0, 0.37, 1.0])
 def test_assembly_matches_reference(dim, res, kappa, r):
     mesh = fem.build_mesh(dim, res)
-    met = metric.constant_curvature(kappa)
-    asm = fem.Assembler(mesh, met, problem.cubic_problem(-20.0, 1.5))
+    met = metric.MetricModel(kappa)
+    asm = fem.Assembler(mesh, met, problem.ProblemSpec(-20.0, 1.5))
     u = 0.5 * np.random.default_rng(11).standard_normal(mesh.n_interior)
     H, J, F, S, _ = reference_assembly(asm, r, u)
     for new, ref in ((asm.h(r), H), (asm.jacobian(r, u), J), (asm.gram(), S)):
@@ -246,8 +252,8 @@ def test_radius_slot_matches_fresh_assembler(dim, res, kappa):
     # every form must equal a fresh assembler's bit for bit.  The
     # potential varies in x, since the 1D stiffness is the same at every r.
     mesh = fem.build_mesh(dim, res)
-    met = metric.constant_curvature(kappa)
-    spec = problem.cubic_problem(problem.parse_field("3*r2 - 20", dim), 1.5)
+    met = metric.MetricModel(kappa)
+    spec = problem.ProblemSpec(problem.parse_field("3*r2 - 20", dim), 1.5)
     asm = fem.Assembler(mesh, met, spec)
     u = 0.5 * np.random.default_rng(12).standard_normal(mesh.n_interior)
     zero = np.zeros(mesh.n_interior)
@@ -270,8 +276,8 @@ def test_concurrent_h_at_interleaved_radii():
     # Threads calling h at different radii share the slot; a torn read
     # (r of one radius, data of another) would change some matrix.
     mesh = fem.build_mesh(2, 6)
-    asm = fem.Assembler(mesh, metric.constant_curvature(1.0),
-                        problem.cubic_problem(problem.parse_field("3*r2 - 20", 2), 1.5))
+    asm = fem.Assembler(mesh, metric.MetricModel(1.0),
+                        problem.ProblemSpec(problem.parse_field("3*r2 - 20", 2), 1.5))
     radii = (0.2, 0.5, 0.8)
     want = {r: asm.h(r).data.copy() for r in radii}
     bad = []
@@ -303,7 +309,7 @@ def test_1d_eigenvalue_convergence_is_second_order():
     errs = []
     for res in (40, 80, 160):
         mesh = fem.build_mesh(1, res)
-        asm = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(1.0))
+        asm = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(1.0))
         K = asm.gram().toarray()
         M = asm.h(1.0).toarray() - K
         lam = la.eigh(K, M, subset_by_index=[0, 0])[0][0]

@@ -11,18 +11,18 @@ def _closed_ratio(kappa, t):
 
 
 def test_euclidean_identity():
-    m = metric.euclidean()
+    m = metric.MetricModel()
     w, a = metric.coefficients(m, np.array([0.5]), 2)
     assert w[0] == 1.0 and a[0] == 1.0
 
 
 def test_euclidean_is_curvature_zero():
-    assert metric.euclidean() == metric.constant_curvature(0.0)
+    assert metric.MetricModel() == metric.MetricModel(0.0)
 
 
 def test_zero_curvature_collapses_to_flat():
     # kappa = 0 runs through the series, which is exactly 1 there.
-    m = metric.constant_curvature(0.0)
+    m = metric.MetricModel(0.0)
     t = np.array([0.0, 0.3 * metric.SERIES_CUTOFF, 0.2, 0.45, 1.0])
     for n in (1, 2, 3):
         w, a = metric.coefficients(m, t, n)
@@ -32,7 +32,7 @@ def test_zero_curvature_collapses_to_flat():
 def test_sphere_values_at_half_radius():
     # kappa = 1, n = 2 at t = 0.5: w = sin(0.5)/0.5 (radial entry of A),
     # a = 0.5/sin(0.5) (tangential entry).
-    m = metric.constant_curvature(1.0)
+    m = metric.MetricModel(1.0)
     (w,), (a,) = metric.coefficients(m, np.array([0.5]), 2)
     w_exact = np.sin(0.5) / 0.5
     assert w == pytest.approx(w_exact, rel=1e-15)
@@ -48,49 +48,49 @@ def test_sphere_values_at_half_radius():
 
 def test_scaled_matches_composition():
     # The assembler passes r |x|; the profiles see only that product.
-    m = metric.constant_curvature(1.0)
+    m = metric.MetricModel(1.0)
     w1, a1 = metric.coefficients(m, 0.5 * np.array([1.0]), 2)
     w2, a2 = metric.coefficients(m, np.array([0.5]), 2)
     assert np.array_equal(w1, w2) and np.array_equal(a1, a2)
 
 
 def test_scaled_euclidean_is_identity_everywhere():
-    m = metric.euclidean()
+    m = metric.MetricModel()
     w, a = metric.coefficients(m, 0.7 * np.array([1.0]), 1)
     assert w[0] == 1.0 and a[0] == 1.0
 
 
 def test_scaled_at_zero_is_identity():
-    for m in (metric.euclidean(), metric.constant_curvature(1.0),
-              metric.constant_curvature(-2.0)):
+    for m in (metric.MetricModel(), metric.MetricModel(1.0),
+              metric.MetricModel(-2.0)):
         w, a = metric.coefficients(m, 0.0 * np.array([0.77]), 2)
         assert w[0] == 1.0 and a[0] == 1.0
 
 
 def test_scaled_allows_closed_ball():
-    m = metric.constant_curvature(1.0)
+    m = metric.MetricModel(1.0)
     w, a = metric.coefficients(m, 1.0 * np.array([1.0]), 2)
     assert w[0] == pytest.approx(np.sin(1.0), rel=1e-14)
     assert a[0] == pytest.approx(1.0 / np.sin(1.0), rel=1e-14)
 
 
 def test_domain_errors():
-    m = metric.constant_curvature(1.0)
+    m = metric.MetricModel(1.0)
     with pytest.raises(ValueError):
         metric.coefficients(m, np.array([1.2]), 2)
     with pytest.raises(ValueError):
         metric.coefficients(m, 1.0 * np.array([0.5, 1.1]), 2)
     with pytest.raises(ValueError):
-        metric.constant_curvature(np.pi ** 2)
+        metric.MetricModel(np.pi ** 2)
     with pytest.raises(ValueError):
-        metric.constant_curvature(12.0)
+        metric.MetricModel(12.0)
 
 
 def test_hyperbolic_curvature_bound():
     # sinh(sqrt(-kappa)) overflows a double past sqrt(-kappa) ~ 710.5
     with pytest.raises(ValueError, match="sqrt\\(-kappa\\) < 700"):
-        metric.constant_curvature(-1e6)
-    m = metric.constant_curvature(-(699.0 ** 2))
+        metric.MetricModel(-1e6)
+    m = metric.MetricModel(-(699.0 ** 2))
     w, a = metric.coefficients(m, np.array([1.0, 0.5]), 2)
     assert np.all(np.isfinite(w)) and np.all(np.isfinite(a))
     # a = q^(n-3) stays positive where w / q^2 would underflow to 0
@@ -101,7 +101,7 @@ def test_profiles_positive_at_random_radii():
     rng = np.random.default_rng(7)
     t = rng.uniform(0.0, 1.0, 10_000)
     for kappa, n in ((1.0, 2), (-3.0, 2), (2.5, 3), (-(699.0 ** 2), 2)):
-        w, a = metric.coefficients(metric.constant_curvature(kappa), t, n)
+        w, a = metric.coefficients(metric.MetricModel(kappa), t, n)
         assert np.all(w > 0.0) and np.all(a > 0.0)
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(a))
 
@@ -113,7 +113,7 @@ def test_series_matches_closed_form_near_center():
     for kappa in (1.0, -2.0, 5.0):
         sk = np.sqrt(abs(kappa))
         t = np.array([0.9999, 1.0001]) * metric.SERIES_CUTOFF / sk
-        w, a = metric.coefficients(metric.constant_curvature(kappa), t, 2)
+        w, a = metric.coefficients(metric.MetricModel(kappa), t, 2)
         ratio = _closed_ratio(kappa, t)
         assert np.allclose(w, ratio, rtol=1e-12, atol=0.0)
         assert np.allclose(a, 1.0 / ratio, rtol=1e-12, atol=0.0)
@@ -121,7 +121,7 @@ def test_series_matches_closed_form_near_center():
 
 def test_one_dimensional_space_forms_are_flat():
     # n = 1 has no tangential direction: A = w = q^0 = 1 exactly.
-    m = metric.constant_curvature(1.0)
+    m = metric.MetricModel(1.0)
     w, _ = metric.coefficients(m, np.array([0.0, 0.7, 1.0]), 1)
     assert np.all(w == 1.0)
 
@@ -130,7 +130,7 @@ def test_one_dimensional_space_forms_are_flat():
     (0.0, 2), (1.0, 2), (-1.0, 2), (1.0, 3),
 ], ids=["euclidean", "kappa+1", "kappa-1", "kappa+1-3d"])
 def test_profiles_shape_center_and_domain(kappa, n):
-    model = metric.constant_curvature(kappa)
+    model = metric.MetricModel(kappa)
     t = np.array([0.0, 0.3 * metric.SERIES_CUTOFF, 0.5, 1.0, 1.0 + 1e-13])
     w, a = metric.coefficients(model, t, n)
     assert w.shape == a.shape == (5,)

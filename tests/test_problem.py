@@ -7,39 +7,39 @@ from reference import g_values
 
 
 def test_constant_potential_eval():
-    spec = problem.linear_problem(-52.379)
+    spec = problem.ProblemSpec(-52.379)
     assert spec.f_values(0.5 * np.array([[0.2, 0.1]]))[0] == -52.379
 
 
 def test_coordinate_potential_eval():
-    spec = problem.linear_problem(problem.parse_field("x1", dim=2))
+    spec = problem.ProblemSpec(problem.parse_field("x1", dim=2))
     assert spec.f_values(0.5 * np.array([[1.0, 0.0]]))[0] == pytest.approx(0.5)
 
 
 def test_zero_potential():
-    spec = problem.linear_problem(0.0)
+    spec = problem.ProblemSpec(0.0)
     assert spec.f_values(0.9 * np.array([[0.3, -0.2]]))[0] == 0.0
 
 
 def test_cubic_algebraic_identity():
-    spec = problem.cubic_problem(-4.0, 1.0)
+    spec = problem.ProblemSpec(-4.0, 1.0)
     fvals = spec.f_values(0.1 * np.array([[0.0, 0.0]]))
     assert spec.v_values(fvals, np.array([2.0]))[0] == pytest.approx(0.0)
 
 
 def test_linear_is_cubic_with_zero_b():
     f = -52.379
-    assert problem.linear_problem(f) == problem.cubic_problem(f, 0.0)
+    assert problem.ProblemSpec(f) == problem.ProblemSpec(f, 0.0)
     mesh = fem.build_mesh(1, 8)
-    lin = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(f))
-    cub = fem.Assembler(mesh, metric.euclidean(), problem.cubic_problem(f, 0.0))
+    lin = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(f))
+    cub = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(f, 0.0))
     u = np.linspace(-0.7, 0.9, mesh.n_interior)
     assert np.array_equal(lin.residual(0.6, u), cub.residual(0.6, u))
     assert np.array_equal(lin.jacobian(0.6, u).toarray(), cub.jacobian(0.6, u).toarray())
 
 
 def test_values_at_zero():
-    for spec in (problem.linear_problem(-3.0), problem.cubic_problem(-3.0, 2.0)):
+    for spec in (problem.ProblemSpec(-3.0), problem.ProblemSpec(-3.0, 2.0)):
         fvals = spec.f_values(0.4 * np.array([[0.1, 0.1]]))
         xi = np.array([0.0])
         assert spec.v_values(fvals, xi)[0] == 0.0
@@ -48,13 +48,13 @@ def test_values_at_zero():
 
 
 def test_cubic_arithmetic():
-    spec = problem.cubic_problem(-52.379, 1.0)
+    spec = problem.ProblemSpec(-52.379, 1.0)
     fvals = spec.f_values(0.0 * np.array([[0.0]]))
     assert spec.v_values(fvals, np.array([0.1]))[0] == pytest.approx(-5.2369, abs=1e-12)
 
 
 def test_cubic_values_and_derivative():
-    spec = problem.cubic_problem(-7.5, 1.3)
+    spec = problem.ProblemSpec(-7.5, 1.3)
     rng = np.random.default_rng(3)
     fvals = rng.uniform(-10.0, 10.0, (2000, 3))
     xi = rng.uniform(-3.0, 3.0, (2000, 3))
@@ -70,7 +70,7 @@ def test_cubic_values_and_derivative():
 def test_fd_derivative_of_V_is_f():
     # (V(y, eps) - V(y, -eps)) / (2 eps) -> f(y)
     f = problem.parse_field("x1 - 0.5*r2 + 2", dim=2)
-    spec = problem.cubic_problem(f, 3.0)
+    spec = problem.ProblemSpec(f, 3.0)
     rng = np.random.default_rng(0)
     eps = 1e-6
     for _ in range(20):
@@ -82,7 +82,7 @@ def test_fd_derivative_of_V_is_f():
 
 
 def test_dv_matches_fd_of_V():
-    spec = problem.cubic_problem(-2.0, 1.5)
+    spec = problem.ProblemSpec(-2.0, 1.5)
     rng = np.random.default_rng(1)
     h = 1e-5
     for _ in range(30):
@@ -96,7 +96,7 @@ def test_dv_matches_fd_of_V():
 
 
 def test_g_prime_is_V():
-    spec = problem.cubic_problem(-2.0, 1.5)
+    spec = problem.ProblemSpec(-2.0, 1.5)
     rng = np.random.default_rng(2)
     h = 1e-5
     for _ in range(30):

@@ -19,7 +19,7 @@ def random_symmetric_with_inertia(rng, n_neg, n_zero, n_pos, seed_scale=1.0):
 
 
 def flat_assembler(mesh):
-    return fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(0.0))
+    return fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(0.0))
 
 
 class TestInertia:
@@ -38,8 +38,8 @@ class TestInertia:
     def test_1d_oscillator_morse_index(self):
         # eigenvalues (k pi / 2)^2 - (2.3 pi)^2 are negative iff k <= 4
         mesh = fem.build_mesh(1, 2000)
-        H = fem.Assembler(mesh, metric.euclidean(),
-                          problem.linear_problem(-(2.3 * np.pi) ** 2)).h(1.0)
+        H = fem.Assembler(mesh, metric.MetricModel(),
+                          problem.ProblemSpec(-(2.3 * np.pi) ** 2)).h(1.0)
         assert spectral.inertia(H) == 4
         assert reference.bunch_kaufman_inertia(H.toarray()) == 4
 
@@ -64,12 +64,12 @@ class TestInertia:
     def test_sparse_matches_dense_across_radii(self):
         # sparse LDL^T against dense Bunch-Kaufman on every shipped geometry
         scenarios = [
-            (fem.build_mesh(1, 300), metric.euclidean(), -(2.3 * np.pi) ** 2),
-            (fem.build_mesh(2, 7), metric.euclidean(), -36.0),
-            (fem.build_mesh(2, 7), metric.constant_curvature(1.0), -36.0),
+            (fem.build_mesh(1, 300), metric.MetricModel(), -(2.3 * np.pi) ** 2),
+            (fem.build_mesh(2, 7), metric.MetricModel(), -36.0),
+            (fem.build_mesh(2, 7), metric.MetricModel(1.0), -36.0),
         ]
         for mesh, met, f in scenarios:
-            asm = fem.Assembler(mesh, met, problem.linear_problem(f))
+            asm = fem.Assembler(mesh, met, problem.ProblemSpec(f))
             for r in np.linspace(1e-3, 1.0, 41):
                 H = asm.h(r)
                 assert spectral.inertia(H) == reference.bunch_kaufman_inertia(H)
@@ -110,7 +110,7 @@ class TestSmallestEigenpairs:
         # sign of lambda_k(r) matches (k pi / 2)^2 - c r^2
         c = 30.0
         mesh = fem.build_mesh(1, 400)
-        asm = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(-c))
+        asm = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(-c))
         for r in (0.3, 0.6, 0.95):
             pairs = reference.smallest_eigenpairs(asm.h(r), asm.gram(), 5)
             expect = np.sign([(k * np.pi / 2) ** 2 - c * r * r for k in range(1, 6)])
@@ -118,7 +118,7 @@ class TestSmallestEigenpairs:
 
     def test_first_eigenvalue_decreasing_in_r(self):
         mesh = fem.build_mesh(1, 300)
-        asm = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(-12.0))
+        asm = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(-12.0))
         vals = []
         for r in np.linspace(0.05, 1.0, 15):
             vals.append(reference.smallest_eigenpairs(asm.h(r), asm.gram(), 1).values[0])
@@ -126,7 +126,7 @@ class TestSmallestEigenpairs:
 
     def test_s_orthonormal_and_residual(self):
         mesh = fem.build_mesh(2, 6)
-        asm = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(-20.0))
+        asm = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(-20.0))
         H, S = asm.h(0.8), asm.gram()
         pairs = reference.smallest_eigenpairs(H, S, 4)
         G = pairs.vectors.T @ (S @ pairs.vectors)
@@ -154,7 +154,7 @@ class TestKernelEigenpairs:
     def test_near_kernel_accuracy(self):
         c = (2.3 * np.pi) ** 2
         mesh = fem.build_mesh(1, 500)
-        asm = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(-c))
+        asm = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(-c))
         H, S = asm.h(1.0 / 4.6 + 1e-6), asm.gram()
         pairs = spectral.kernel_eigenpairs(H, S, 1)
         dense = reference.smallest_eigenpairs(H, S, 1)
@@ -167,7 +167,7 @@ class TestKernelEigenpairs:
 
     def test_multiplicity_two_subspace(self):
         mesh = fem.build_mesh(2, 14)
-        asm = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(-36.0))
+        asm = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(-36.0))
         # near the first multiplicity-2 crossing j_{1,1}/6
         H, S = asm.h(0.6388), asm.gram()
         pairs = spectral.kernel_eigenpairs(H, S, 2)
@@ -179,7 +179,7 @@ class TestKernelEigenpairs:
 
     def test_deterministic(self):
         mesh = fem.build_mesh(1, 200)
-        asm = fem.Assembler(mesh, metric.euclidean(), problem.linear_problem(-30.0))
+        asm = fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(-30.0))
         H, S = asm.h(0.5), asm.gram()
         a = spectral.kernel_eigenpairs(H, S, 2)
         b = spectral.kernel_eigenpairs(H, S, 2)
@@ -188,16 +188,16 @@ class TestKernelEigenpairs:
 
     def test_raises_when_sweeps_run_out(self, monkeypatch):
         # The convergence test compares two sweeps, so one sweep never passes it.
-        asm = fem.Assembler(fem.build_mesh(1, 200), metric.euclidean(),
-                            problem.linear_problem(-30.0))
+        asm = fem.Assembler(fem.build_mesh(1, 200), metric.MetricModel(),
+                            problem.ProblemSpec(-30.0))
         monkeypatch.setattr(spectral, "KERNEL_MAX_SWEEPS", 1)
         with pytest.raises(spectral.FactorizationError):
             spectral.kernel_eigenpairs(asm.h(0.5), asm.gram(), 1)
 
     def test_raises_when_orthonormalized_block_is_refused(self, monkeypatch):
         # One retry on the QR basis, then FactorizationError, not LinAlgError.
-        asm = fem.Assembler(fem.build_mesh(1, 200), metric.euclidean(),
-                            problem.linear_problem(-30.0))
+        asm = fem.Assembler(fem.build_mesh(1, 200), metric.MetricModel(),
+                            problem.ProblemSpec(-30.0))
         calls = []
 
         def refused(G, lower):
