@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fem import Assembler
+from .spectral import FactorizationError, factor
 
 __all__ = [
     "BranchSample",
@@ -69,8 +68,9 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
     NEWTON_MAX_ITERS steps: a near-trivial seed cannot pass unmoved, and
     the floor lets an iterate collapsing onto u = 0 converge without
     shrinking by a rounding factor per step down to underflow.  A
-    singular Jacobian or a stalled line search ends the run with
-    ``converged = False``; the caller decides whether to reseed.
+    Jacobian that ``spectral.factor`` refuses or a stalled line search
+    ends the run with ``converged = False``; the caller decides whether
+    to reseed.
     """
     S = asm.gram()
     lu_S = asm.gram_lu()
@@ -94,10 +94,9 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
     while not converged and iters < NEWTON_MAX_ITERS:
         J = asm.jacobian(r, u)
         try:
-            lu_J = spla.splu(sp.csc_matrix(J))
-            step = lu_J.solve(-res)
-        except RuntimeError:
-            break  # singular Jacobian: report non-convergence
+            step = factor(J).solve(-res)
+        except FactorizationError:
+            break  # refused Jacobian factor: report non-convergence
         if not np.all(np.isfinite(step)):
             break
         alpha = 1.0

@@ -6,14 +6,16 @@ before any computation starts; unknown keys are hard errors so typos
 cannot silently fall back to defaults.
 
 Exit codes: 0 success with all verifications passing, 1 usage or
-configuration error (including an output directory that cannot be
-created or an output file that cannot be written), 2 verification
-failure (index identity violated, negative count not monotone, crossing
-form not negative definite, bifurcation not confirmed) or numerical
-breakdown (a factorization still rejected after its nudged retries), 3
-degenerate endpoint (the r = 1 non-degeneracy assumption fails).  Each
-failure prints one line to stderr; an unconfirmed bifurcation prints
-one per radius, naming each direction's failure or intercept.
+configuration error (including a mesh numpy cannot allocate, an output
+directory that cannot be created or an output file that cannot be
+written), 2 verification failure (index identity violated, negative
+count not monotone, crossing form not negative definite, bifurcation
+not confirmed) or numerical breakdown (an inertia factorization still
+refused after its nudged retries, a refused kernel factorization, an
+unconverged kernel eigensolve), 3 degenerate endpoint (the r = 1
+non-degeneracy assumption fails).  Each failure prints one line to
+stderr; an unconfirmed bifurcation prints one per radius, naming each
+direction's failure or intercept.
 """
 
 from __future__ import annotations
@@ -344,11 +346,15 @@ def run(subcommand: str, config_path, out_dir=None, threads: int = 1) -> int:
 
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     try:
+        pipe = Pipeline(cfg, out, threads=threads)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the mesh arrays
+        print(f"error: mesh.resolution = {cfg.mesh_resolution}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    pipe = Pipeline(cfg, out, threads=threads)
     try:
         if cfg.mesh_dump:
             pipe.write_mesh_dump()

@@ -37,11 +37,11 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import metric as metric_mod
 from .metric import MetricModel
 from .problem import ProblemSpec
+from .spectral import factor
 
 __all__ = [
     "Mesh",
@@ -128,7 +128,8 @@ def _build_mesh_2d(rings: int) -> Mesh:
     nodes = np.asarray(nodes)
 
     elements = []
-    # Innermost fan around the center node.
+    # Every triangle is listed counterclockwise (Assembler._setup_2d
+    # refuses any other).  Innermost fan around the center node.
     s1 = ring_start[1]
     for j in range(6):
         elements.append((0, s1 + j, s1 + (j + 1) % 6))
@@ -149,18 +150,6 @@ def _build_mesh_2d(rings: int) -> Mesh:
                 o1 = s_out + (k * i + j + 1) % m_out
                 elements.append((a0, o1, a1))
     elements = np.asarray(elements, dtype=int)
-
-    # Enforce positive orientation.
-    def signed_area2(v):
-        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-        return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-
-    cross = signed_area2(nodes[elements])
-    flip = cross < 0.0
-    elements[flip] = elements[flip][:, [0, 2, 1]]
-    cross = signed_area2(nodes[elements])
-    if np.any(cross <= 1e-14):
-        raise RuntimeError("degenerate element in polar-ring mesh")
 
     boundary = np.zeros(len(nodes), dtype=bool)
     boundary[ring_start[R]:] = True
@@ -408,7 +397,7 @@ class Assembler:
 
     def gram_lu(self):
         if self._lu_S is None:
-            self._lu_S = spla.splu(self._S.tocsc())
+            self._lu_S = factor(self._S)
         return self._lu_S
 
     def h(self, r: float) -> sp.csr_matrix:

@@ -1,18 +1,23 @@
 """Negative counts and kernel eigenpairs for the pencil (H, S).
 
-The negative count n_neg(H) is the number of negative pivots of a
-symmetric factorization (Sylvester's law of inertia), counted strictly
-by sign: a tolerance band around zero would bias every radius located
-by bisection on the count by the band width.  The pivots come from one
-SuperLU factorization restricted to diagonal pivots under a
-fill-reducing symmetric ordering.  When the row and column permutations
-agree it is P^T H P = L D L^T with D the diagonal of U.  Every call
-checks symmetry, the permutations, finite pivots and pivot growth, and
-raises ``FactorizationError`` rather than return a count it cannot
-vouch for.
+One sparse factorization serves the whole package: ``factor`` runs
+SuperLU restricted to diagonal pivots under a fill-reducing symmetric
+ordering, and raises ``FactorizationError`` when SuperLU refuses.  The
+negative count, the kernel eigensolve, the Gram solve and the Newton
+step all use it.
+
+The negative count n_neg(H) is the number of negative pivots of that
+factorization (Sylvester's law of inertia), counted strictly by sign:
+a tolerance band around zero would bias every radius located by
+bisection on the count by the band width.  When the row and column
+permutations agree the factor is P^T H P = L D L^T with D the diagonal
+of U.  Every count checks symmetry, the permutations, finite pivots and
+pivot growth, and raises ``FactorizationError`` rather than return a
+count it cannot vouch for.
 
 Kernel eigenpairs come from shift-invert block inverse iteration at
-zero, for kernel candidates near a degeneracy at any scale.
+zero, for kernel candidates near a degeneracy at any scale.  A refused
+factor of H is raised, not retried at a shift.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "EigenPairs",
     "FactorizationError",
+    "factor",
     "inertia",
     "kernel_eigenpairs",
 ]
@@ -50,35 +56,30 @@ class EigenPairs:
     vectors: np.ndarray   # (n, k), vectors[:, i]^T S vectors[:, j] = delta_ij
 
 
-def _sparse_pivots(H: sp.csc_matrix, scale: float) -> np.ndarray:
-    """Pivots D of P^T H P = L D L^T from one diagonal-pivoting SuperLU.
+def factor(H):
+    """SuperLU factor of H with diagonal pivots in a symmetric MMD order.
 
-    SuperLU leaves the diagonal only on an exactly zero pivot, which
-    shows as perm_r != perm_c; that, a singular factor and pivot growth
-    beyond 1e12 max(max|H|, 1) are raised, never counted.
+    ``H`` is any square matrix, dense or sparse; it is factorized as a
+    CSC matrix.  A refusal raises ``FactorizationError``.
     """
     try:
-        lu = spla.splu(
-            H,
+        return spla.splu(
+            sp.csc_matrix(H),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:
         raise FactorizationError(f"sparse factorization failed: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise FactorizationError("zero diagonal pivot: row and column orders differ")
-    U = lu.U
-    if U.nnz and np.max(np.abs(U.data)) > 1e12 * max(scale, 1.0):
-        raise FactorizationError("pivot growth in sparse factorization")
-    return U.diagonal()
 
 
 def inertia(H) -> int:
     """Negative count n_neg(H) of a symmetric matrix: pivots below zero.
 
-    Any input, dense or sparse, is factorized as a CSC matrix (see the
-    module docstring).
+    SuperLU leaves the diagonal only on an exactly zero pivot, which
+    shows as perm_r != perm_c; that, a singular factor, pivot growth
+    beyond 1e12 max(max|H|, 1) and non-finite pivots are raised, never
+    counted (see the module docstring).
     """
     if H.shape[0] != H.shape[1]:
         raise ValueError("inertia requires a square matrix")
@@ -88,7 +89,13 @@ def inertia(H) -> int:
         return 0
     if abs(Hc - Hc.T).max() > 1e-12 * scale:
         raise ValueError("inertia requires a symmetric matrix")
-    pivots = _sparse_pivots(Hc, scale)
+    lu = factor(Hc)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationError("zero diagonal pivot: row and column orders differ")
+    U = lu.U
+    if U.nnz and np.max(np.abs(U.data)) > 1e12 * max(scale, 1.0):
+        raise FactorizationError("pivot growth in sparse factorization")
+    pivots = U.diagonal()
     if not np.all(np.isfinite(pivots)):
         raise FactorizationError("non-finite pivots in factorization")
     return int(np.sum(pivots < 0.0))
@@ -97,7 +104,7 @@ def inertia(H) -> int:
 def kernel_eigenpairs(H, S, k: int) -> EigenPairs:
     """The k smallest-|lambda| eigenpairs of (H, S) by shift-invert at 0.
 
-    Block inverse iteration with a sparse LU of H and Rayleigh-Ritz
+    Block inverse iteration with ``factor(H)`` and Rayleigh-Ritz
     extraction; deterministic through the fixed seed.  Converges in a
     few sweeps whenever the eigenvalues nearest zero are well separated
     from the rest, which is exactly the regime it is used in (kernel
@@ -113,15 +120,7 @@ def kernel_eigenpairs(H, S, k: int) -> EigenPairs:
     Hc = sp.csc_matrix(H)
     Sc = sp.csc_matrix(S)
     Hnorm = spla.norm(Hc, np.inf)
-    lu = None
-    for shift in (0.0, 1e-13 * Hnorm, -1e-13 * Hnorm):
-        try:
-            lu = spla.splu((Hc - shift * Sc) if shift else Hc)
-            break
-        except RuntimeError:
-            continue
-    if lu is None:
-        raise FactorizationError("shift-invert factorization failed")
+    lu = factor(Hc)
 
     rng = np.random.default_rng(KERNEL_SEED)
     block = min(n, k + 2)

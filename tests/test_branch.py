@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from smalescan import branch, conjugate, fem, metric, problem
+from smalescan import branch, conjugate, fem, metric, problem, spectral
 from smalescan.fem import Assembler
 
 import reference
@@ -93,6 +93,17 @@ class TestNewton:
         assert s.h1_norm <= 1e-8
         # the tolerance's floor at TRIVIAL_NORM ends the collapse early
         assert s.newton_iters <= 5
+
+    def test_refused_jacobian_factor_ends_unconverged(self, osc_cubic, monkeypatch):
+        asm, cj = osc_cubic
+
+        def refused(J):
+            raise spectral.FactorizationError("sparse factorization failed")
+
+        monkeypatch.setattr(branch, "factor", refused)
+        s = branch.newton_solve(asm, 0.24, 5.5 * cj.kernel_basis[:, 0])
+        assert not s.converged
+        assert s.newton_iters == 0
 
 
 class TestTraceBranch:

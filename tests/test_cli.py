@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from smalescan import branch, cli, conjugate, problem, spectral
 
@@ -277,6 +278,21 @@ class TestRun:
         for name in ("scan.csv", "conjugate.csv", "crossing.csv", "index_report.txt"):
             assert (out / name).is_file()
 
+    def test_every_factorization_uses_the_inertia_options(self, config_file, tmp_path,
+                                                          monkeypatch):
+        # Negative count, kernel eigensolve, Gram solve and Newton step
+        # share one factorization: diagonal pivots in a symmetric MMD order.
+        splu = spla.splu
+        options = []
+
+        def recorded(A, **kwargs):
+            options.append((kwargs.get("permc_spec"), kwargs.get("diag_pivot_thresh")))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recorded)
+        assert cli.run("all", config_file, out_dir=tmp_path / "o") == cli.EXIT_OK
+        assert options and set(options) == {("MMD_AT_PLUS_A", 0.0)}
+
     def test_determinism_byte_identical(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.run("conjugate", config_file, out_dir=out1) == cli.EXIT_OK
@@ -445,4 +461,20 @@ class TestMainEntry:
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: scan.grid_points = {points}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    # Meshes whose allocation numpy refuses at once, as for the scan grid
+    # above.  A huge 2D ring count is not refused at once, because the
+    # polar mesh is built ring by ring, so it is not tried here.
+    @pytest.mark.parametrize("resolution", [10 ** 17, 10 ** 19])
+    def test_unallocatable_1d_mesh_exits_1(self, tmp_path, capsys, resolution):
+        path = tmp_path / "huge.cfg"
+        path.write_text(CONFIG_1D.replace("mesh.resolution = 400",
+                                          f"mesh.resolution = {resolution}"))
+        out = tmp_path / "o"
+        code = cli.main(["scan", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mesh.resolution = {resolution}: ")
+        assert err.count("\n") == 1
         assert not out.exists()

@@ -55,8 +55,11 @@ class TestMesh:
         assert np.all(norms <= 1.0 + 1e-12)
         assert np.all(np.abs(norms[mesh.boundary_nodes] - 1.0) <= 1e-12)
 
-    def test_positive_orientation(self):
-        mesh = fem.build_mesh(2, 6)
+    # The polar-ring construction lists every triangle counterclockwise;
+    # nothing flips one afterwards.
+    @pytest.mark.parametrize("R", [1, 2, 3, 6, 40])
+    def test_positive_orientation(self, R):
+        mesh = fem.build_mesh(2, R)
         v = mesh.nodes[mesh.elements]
         e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
         areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])

@@ -194,6 +194,21 @@ class TestKernelEigenpairs:
         with pytest.raises(spectral.FactorizationError):
             spectral.kernel_eigenpairs(asm.h(0.5), asm.gram(), 1)
 
+    def test_refused_factor_is_raised_without_a_shifted_retry(self, monkeypatch):
+        asm = fem.Assembler(fem.build_mesh(1, 200), metric.MetricModel(),
+                            problem.ProblemSpec(-30.0))
+        H, S = asm.h(0.5), asm.gram()
+        calls = []
+
+        def refused(A, **kwargs):
+            calls.append(A)
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spectral.spla, "splu", refused)
+        with pytest.raises(spectral.FactorizationError, match="sparse factorization failed"):
+            spectral.kernel_eigenpairs(H, S, 1)
+        assert len(calls) == 1
+
     def test_raises_when_orthonormalized_block_is_refused(self, monkeypatch):
         # One retry on the QR basis, then FactorizationError, not LinAlgError.
         asm = fem.Assembler(fem.build_mesh(1, 200), metric.MetricModel(),
