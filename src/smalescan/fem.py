@@ -23,11 +23,13 @@ end points with weight 1 (1D) and 2-point Gauss with weight length/2
 on every boundary edge (2D), each point in its adjacent element.
 
 Assembly: the interior CSR pattern, the slot in it of every element
-entry and its transpose permutation are built once per mesh.  Every
-form is then two element kernels (the metric's radial profiles at r|x|
-contracted against fixed projectors, then G W G^T; and the weighted mass
-values times a fixed phi_i phi_j table) and one ``np.bincount`` scatter
-into that pattern; see ``Assembler``.
+entry and its transpose permutation are built once per mesh, and so are
+the stiffness projectors G G^T and (G e)(G e)^T of every element and
+gradient point and the table of distinct quadrature radii |x|.  Every
+form is then the metric's radial profiles, evaluated once per distinct
+r|x| and gathered, two element kernels (weighted sums of the stiffness
+projectors; the weighted mass values times a fixed phi_i phi_j table)
+and one ``np.bincount`` scatter into that pattern; see ``Assembler``.
 """
 
 from __future__ import annotations
@@ -210,23 +212,31 @@ _G2_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 class Assembler:
     """Caches mesh geometry, quadrature data and the interior scatter.
 
-    Per mesh, once: element gradients, quadrature points x, |x| and
-    e e^T (e = x/|x|), the boundary rule (``bd_elements``, ``bd_pts``,
-    ``bd_w``: adjacent element, points and weights), the interior CSR
-    pattern (the pairs of interior nodes sharing an element, rows and
-    columns sorted), the slot in its ``data`` of every element entry,
-    the permutation mapping ``data`` onto that of the transpose, and the
-    Gram matrix.  Per call, with gw = grad_w and (w, a) =
-    ``metric.coefficients`` at r|x|, every form goes through two element
+    Per mesh, once: element gradients G_t, quadrature points x, the
+    boundary rule (``bd_elements``, ``bd_pts``, ``bd_w``: adjacent
+    element, points and weights), the interior CSR pattern (the pairs of
+    interior nodes sharing an element, rows and columns sorted), the slot
+    in its ``data`` of every element entry, the permutation mapping
+    ``data`` onto that of the transpose, the stiffness projectors
+
+        P1_t = G_t G_t^T,   P2_tq = (G_t e_q)(G_t e_q)^T   (e = x/|x|, 0 at x = 0),
+
+    flattened to (ne, nv * nv) and (ne, qg, nv * nv), the sorted distinct
+    radii |x| of all quadrature points with each point's index into them,
+    and the Gram matrix, the scatter of (sum_q gw) P1_t.  Per call, with
+    gw = grad_w, (w, a) = ``metric.coefficients`` at r times the distinct
+    radii, gathered to the points, every form goes through two element
     kernels
 
-        stiffness  W_t = (sum_q gw a) I + sum_q gw (w - a) e e^T,   K_t = G_t W_t G_t^T
+        stiffness  K_t = (sum_q gw a) P1_t + sum_q gw (w - a) P2_tq
         mass       M_t = (mass_w w c)_t @ Phi,  Phi[q, i nv + j] = phi_i phi_j
 
     with c = f for H(r) and c = dV/du(r x, u) for J(r, u), so J(r, 0)
-    equals H(r) exactly.  A matrix is one ``np.bincount`` into the slots
-    followed by 0.5 (d + d[transpose]), which is exactly symmetric.  The
-    mass and nonlinear terms read only w from the metric.
+    equals H(r) exactly.  A flat metric (w = a = 1) gives K_t =
+    (sum_q gw) P1_t, the Gram matrix's kernel, bit for bit.  A matrix is
+    one ``np.bincount`` into the slots followed by 0.5 (d + d[transpose]),
+    which is exactly symmetric.  The mass and nonlinear terms read only w
+    from the metric.
 
     The r-only data (K_t, mass_w w and f at the mass points) of the last
     radius sits in one slot, a tuple ``(r, K, mass_w w, f)``: Newton
@@ -253,14 +263,22 @@ class Assembler:
         self._setup_scatter()
         self._int_idx = np.flatnonzero(~mesh.boundary_nodes)
         # The metric depends on x only through |x| and e e^T (e = 0 at x = 0).
-        gr = np.linalg.norm(self.grad_pts, axis=2)                   # (ne, qg)
-        self._radius = np.hstack([gr, np.linalg.norm(self.mass_pts, axis=2)])
-        e = self.grad_pts / np.where(gr > 0.0, gr, 1.0)[:, :, None]
-        self._grad_ee = e[:, :, :, None] * e[:, :, None, :]          # (ne, qg, d, d)
-        w = self.grad_w.sum(axis=1)
-        self._S = self._scatter(
-            self._element_stiffness(w[:, None, None] * np.eye(mesh.dim))
-        )
+        # Many points share |x| (the 1D mesh is mirror-symmetric, the polar
+        # one rotation-symmetric), so the profiles are evaluated once per
+        # distinct radius and gathered.
+        radius = np.hstack([np.linalg.norm(self.grad_pts, axis=2),
+                            np.linalg.norm(self.mass_pts, axis=2)])   # (ne, qg + qm)
+        self._radii, inverse = np.unique(radius, return_inverse=True)
+        self._radius_of = inverse.reshape(radius.shape).astype(np.int32)
+        qg = self.grad_w.shape[1]
+        gr = radius[:, :qg, None]
+        e = self.grad_pts / np.where(gr > 0.0, gr, 1.0)              # (ne, qg, d)
+        G = self.grads                                                # (ne, nv, d)
+        ne = len(G)
+        Ge = e @ G.transpose(0, 2, 1)                                 # (ne, qg, nv)
+        self._P1 = (G @ G.transpose(0, 2, 1)).reshape(ne, -1)
+        self._P2 = (Ge[:, :, :, None] * Ge[:, :, None, :]).reshape(ne, qg, -1)
+        self._S = self._scatter(self.grad_w.sum(axis=1)[:, None] * self._P1)
         self._lu_S = None
         self._at_r = None  # (r, K, mass_w w, f) of the last radius
 
@@ -335,23 +353,25 @@ class Assembler:
 
     # -- element kernels and scatter -------------------------------------------
 
-    def _element_stiffness(self, W: np.ndarray) -> np.ndarray:
-        """G_t W_t G_t^T per element, flattened to (ne, nv * nv)."""
-        G = self.grads
-        return (G @ W @ G.transpose(0, 2, 1)).reshape(len(G), -1)
+    def _profiles(self, r: float):
+        """w at every quadrature point (gradient points first) and a at the
+        gradient points, the only ones that read it: the profiles at r times
+        each distinct |x|, gathered."""
+        qg = self.grad_w.shape[1]
+        w, a = metric_mod.coefficients(self.metric, r * self._radii, self.mesh.dim)
+        return w[self._radius_of], a[self._radius_of[:, :qg]]
 
     def _stiffness(self, r: float):
         """Element stiffness K_t at scale r, and w at the mass points from
         the same evaluation of the profiles."""
-        d = self.mesh.dim
         qg = self.grad_w.shape[1]
-        w, a = metric_mod.coefficients(self.metric, r * self._radius, d)
-        wg, ag = w[:, :qg], a[:, :qg]
-        # W_t = (sum_q gw a) I + sum_q gw (w - a) e e^T: exactly
-        # (sum_q gw) I when w = a = 1, which a (I - e e^T) + w e e^T is not.
-        W = np.einsum("tq,tqab->tab", self.grad_w * (wg - ag), self._grad_ee)
-        W += (self.grad_w * ag).sum(axis=1)[:, None, None] * np.eye(d)
-        return self._element_stiffness(W), w[:, qg:]
+        w, ag = self._profiles(r)
+        wg = w[:, :qg]
+        # A = a I + (w - a) e e^T, so G A G^T splits over the projectors;
+        # when w = a = 1 the second sum is exactly 0 and K_t the Gram kernel.
+        K = (self.grad_w * ag).sum(axis=1)[:, None] * self._P1
+        K += np.einsum("tq,tqk->tk", self.grad_w * (wg - ag), self._P2)
+        return K, w[:, qg:]
 
     def _mass_data(self, r: float, w: np.ndarray):
         """Quadrature weight * w and f(r x) at the mass points."""
@@ -360,7 +380,10 @@ class Assembler:
         return self.mass_w * w, fv.reshape(ne, qm)
 
     def _r_data(self, r: float):
-        """(K, mass_w w, f) at r, from the slot when r is the last radius."""
+        """(K, mass_w w, f) at r, from the slot when r is the last radius;
+        every form checks r here."""
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"scale parameter r = {r} outside [0, 1]")
         slot = self._at_r
         if slot is None or slot[0] != r:
             # Release the old radius's data first: kept while the new is
@@ -401,8 +424,6 @@ class Assembler:
         return self._lu_S
 
     def h(self, r: float) -> sp.csr_matrix:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"scale parameter r = {r} outside [0, 1]")
         K, wq, fq = self._r_data(r)
         return self._scatter(K + r * r * ((wq * fq) @ self._phi2))
 

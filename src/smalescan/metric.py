@@ -92,6 +92,8 @@ def coefficients(model: MetricModel, t: np.ndarray, n: int):
     a : ndarray, the shape of t, the tangential entry of A, q^(n-3)
     """
     t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("metric evaluated at a negative radius (t = %g)" % t.min())
     if np.any(t > 1.0 + 1e-12):
         raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.max())
     q = _sin_ratio(model.kappa, t)

@@ -136,9 +136,17 @@ class TestAssembleH:
             assert np.max(np.abs(H[np.ix_(perm, perm)] - H)) <= 1e-13 * np.max(np.abs(H))
 
     def test_rejects_bad_r(self):
+        # One check guards every form, negative radii included.
         mesh = fem.build_mesh(1, 4)
-        with pytest.raises(ValueError):
-            fem.Assembler(mesh, metric.MetricModel(), problem.ProblemSpec(0.0)).h(1.5)
+        asm = fem.Assembler(mesh, metric.MetricModel(1.0), problem.ProblemSpec(0.0))
+        u = np.zeros(mesh.n_interior)
+        forms = (asm.h,
+                 lambda r: asm.jacobian(r, u),
+                 lambda r: asm.residual(r, u))
+        for form in forms:
+            for r in (-0.5, -1e-300, 1.5, float("nan")):
+                with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                    form(r)
 
 
 class TestGram:
@@ -148,10 +156,15 @@ class TestGram:
         assert np.allclose(S, [[4, -2, 0], [-2, 4, -2], [0, -2, 4]], atol=1e-14)
 
     def test_equals_flat_h_without_potential(self):
-        mesh = fem.build_mesh(2, 5)
-        asm = flat_assembler(mesh)
-        S = asm.gram()
-        assert np.allclose(S.toarray(), asm.h(0.9).toarray(), atol=1e-14)
+        # w = a = 1 exactly, so the stiffness is the Gram kernel bit for bit.
+        for dim, res in ((1, 40), (2, 5)):
+            asm = flat_assembler(fem.build_mesh(dim, res))
+            S = asm.gram()
+            for r in (0.0, 0.37, 0.9, 1.0):
+                H = asm.h(r)
+                assert np.array_equal(H.indptr, S.indptr)
+                assert np.array_equal(H.indices, S.indices)
+                assert np.array_equal(H.data, S.data)
 
     @pytest.mark.parametrize("dim,res", [(1, 50), (2, 6)])
     def test_positive_definite(self, dim, res):
@@ -246,6 +259,23 @@ def test_assembly_matches_reference(dim, res, kappa, r):
         assert abs(new - new.T).max() == 0.0
     res_new = asm.residual(r, u)
     assert np.max(np.abs(res_new - F)) <= 1e-13 * np.max(np.abs(F))
+
+
+@pytest.mark.parametrize("dim,res", [(1, 40), (2, 6)], ids=["1d-40", "2d-6"])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
+@pytest.mark.parametrize("r", [0.0, 0.37, 1.0])
+def test_profiles_read_from_distinct_radii(dim, res, kappa, r):
+    # The profiles are evaluated once per distinct |x| and gathered; every
+    # quadrature point must read what evaluating at its own r|x| gives.
+    mesh = fem.build_mesh(dim, res)
+    met = metric.MetricModel(kappa)
+    asm = fem.Assembler(mesh, met, problem.ProblemSpec(0.0))
+    pts = np.concatenate([asm.grad_pts, asm.mass_pts], axis=1)
+    assert asm._radii.size < pts.shape[0] * pts.shape[1]
+    w_ref, a_ref = metric.coefficients(met, r * np.linalg.norm(pts, axis=2), dim)
+    w, a = asm._profiles(r)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(a, a_ref[:, :asm.grad_pts.shape[1]])
 
 
 @pytest.mark.parametrize("dim,res,kappa", [(1, 40, 0.0), (2, 6, 1.0)],

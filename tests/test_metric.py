@@ -80,6 +80,11 @@ def test_domain_errors():
         metric.coefficients(m, np.array([1.2]), 2)
     with pytest.raises(ValueError):
         metric.coefficients(m, 1.0 * np.array([0.5, 1.1]), 2)
+    # Negative radii are off the ball too, though the series would
+    # return a value there (w = 0.87036206 at t = -0.9, n = 2).
+    for t in (-0.9, -1e-300):
+        with pytest.raises(ValueError, match="negative radius"):
+            metric.coefficients(m, np.array([0.5, t]), 2)
     with pytest.raises(ValueError):
         metric.MetricModel(np.pi ** 2)
     with pytest.raises(ValueError):
