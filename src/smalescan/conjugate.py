@@ -13,12 +13,16 @@ The crossing form on the kernel at r* is computed two independent
 ways: as the central difference of the assembled bilinear form in r
 (the precision anchor), and as the boundary integral
 
-    Gamma(u, v) = -(1/r*) int_{dB} <grad u, x> <grad v, x> <A(r* x) x, x> dS,
+    Gamma(u, v) = -(1/r*) int_{dB} <grad u, x> <grad v, x> <A(r* x) x, x> dS
 
-one bilinear sum over the boundary rule of ``fem.Assembler`` for all
-kernel columns at once, with elementwise-constant gradients of the
-boundary-adjacent elements (the formula witness).  Their agreement, the
-negative definiteness of the form, and the index identity
+(the formula witness).  On the unit sphere A(r* x) x = w(r*) x, so with
+the discrete flux sigma of ``fem.Assembler.boundary_flux`` and the
+lumped boundary weights m_b it reads
+
+    Gamma = -(1/(r* w(r*))) sum_b sigma_b sigma_b^T / m_b.
+
+Their agreement, the negative definiteness of the form, and the index
+identity
 
     mu(H(1)) = sum of multiplicities over 0 < r < 1
 
@@ -290,24 +294,17 @@ def crossing_form_fd(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
 def crossing_form_boundary(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
     """Crossing form by the boundary integral, independent of the fd route.
 
-    G = -(1/r*) sum_tq c_tq g_tq g_tq^T over the boundary rule, with
-    g = <grad u, x> per kernel column and c = weight w(r* |x|) |x|^2, that
-    is <A(r* x) x, x> dS for radial x; symmetrized, so exactly symmetric.
+    G = -(1/(r* w(r*))) sum_b sigma_b sigma_b^T / m_b, with sigma the
+    discrete boundary flux of the kernel columns at r* (sigma_b / m_b
+    approximates w(r*) d_n u at boundary node b) and m_b the lumped
+    boundary weights; a formula at fixed r*, not a difference in r.
+    Symmetrized, so exactly symmetric.
     """
     mesh = asm.mesh
     r0 = conj.r_star
-    V = conj.kernel_basis
-    full = np.zeros((mesh.n_nodes, V.shape[1]))
-    full[~mesh.boundary_nodes] = V
-    t = asm.bd_elements
-    # Elementwise-constant gradients of the adjacent elements, (nb, d, m).
-    gu = np.einsum("tia,tim->tam", asm.grads[t], full[mesh.elements[t]])
-    x = asm.bd_pts
-    gux = np.einsum("tqa,tam->tqm", x, gu)
-    xx = np.einsum("tqa,tqa->tq", x, x)
-    w, _ = metric_mod.coefficients(asm.metric, r0 * np.sqrt(xx), mesh.dim)
-    c = asm.bd_w * w * xx
-    G = -np.einsum("tq,tqi,tqj->ij", c, gux, gux) / r0
+    sigma = asm.boundary_flux(r0, conj.kernel_basis)
+    w, _ = metric_mod.coefficients(asm.metric, np.array([r0]), mesh.dim)
+    G = -(sigma.T / mesh.boundary_weights[mesh.boundary_nodes]) @ sigma / (r0 * w[0])
     return 0.5 * (G + G.T)
 
 

@@ -18,9 +18,7 @@ Quadrature: the gradient terms use the midpoint rule (1D) and the
 3-point barycentric rule (2D); the weighted mass / nonlinear terms use
 3-point Gauss (1D) and the 7-point degree-5 rule (2D), which integrates
 the cubic nonlinearity of P1 functions exactly in 1D and near-exactly
-in 2D.  The boundary rule (for the boundary crossing form) is the two
-end points with weight 1 (1D) and 2-point Gauss with weight length/2
-on every boundary edge (2D), each point in its adjacent element.
+in 2D.
 
 Assembly: the interior CSR pattern, the slot in it of every element
 entry and its transpose permutation are built once per mesh, and so are
@@ -35,7 +33,6 @@ and one ``np.bincount`` scatter into that pattern; see ``Assembler``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,8 +61,7 @@ class Mesh:
     elements: np.ndarray              # (ne, dim + 1) node indices
     boundary_nodes: np.ndarray        # (N,) bool
     interior_dof_map: np.ndarray      # (N,) int, -1 on the boundary
-    boundary_edges: Optional[np.ndarray] = None     # (nb, 2), 2D only
-    boundary_elements: Optional[np.ndarray] = None  # (nb,) adjacent element
+    boundary_weights: np.ndarray      # (N,) lumped P1 boundary measure
 
     @property
     def n_nodes(self) -> int:
@@ -111,6 +107,7 @@ def _build_mesh_1d(res: int) -> Mesh:
         elements=elements,
         boundary_nodes=boundary,
         interior_dof_map=_interior_map(boundary),
+        boundary_weights=boundary.astype(float),
     )
 
 
@@ -156,20 +153,19 @@ def _build_mesh_2d(rings: int) -> Mesh:
     boundary = np.zeros(len(nodes), dtype=bool)
     boundary[ring_start[R]:] = True
 
-    # Boundary edges: the boundary-node pair of each triangle with two
-    # boundary nodes (the outer strip, or the center fan when R = 1), in
-    # that triangle's order.
-    on_bd = boundary[elements]
-    b_tris = np.flatnonzero(on_bd.sum(axis=1) == 2)
-    b_edges = elements[b_tris][on_bd[b_tris]].reshape(-1, 2)
+    # The outer ring is the boundary polygon, its nodes in order; each
+    # gets half of its two edges.
+    ring = nodes[ring_start[R]:]
+    edge = np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1)
+    weights = np.zeros(len(nodes))
+    weights[ring_start[R]:] = 0.5 * (edge + np.roll(edge, 1))
     return Mesh(
         dim=2,
         nodes=nodes,
         elements=elements,
         boundary_nodes=boundary,
         interior_dof_map=_interior_map(boundary),
-        boundary_edges=b_edges,
-        boundary_elements=b_tris,
+        boundary_weights=weights,
     )
 
 
@@ -205,19 +201,15 @@ _TRI3_W = np.full(3, 1.0 / 3.0)
 _G3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _G3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
-# 2-point Gauss on [0, 1], each point of weight 1/2.
-_G2_S = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-
 
 class Assembler:
     """Caches mesh geometry, quadrature data and the interior scatter.
 
     Per mesh, once: element gradients G_t, quadrature points x, the
-    boundary rule (``bd_elements``, ``bd_pts``, ``bd_w``: adjacent
-    element, points and weights), the interior CSR pattern (the pairs of
-    interior nodes sharing an element, rows and columns sorted), the slot
-    in its ``data`` of every element entry, the permutation mapping
-    ``data`` onto that of the transpose, the stiffness projectors
+    interior CSR pattern (the pairs of interior nodes sharing an element,
+    rows and columns sorted), the slot in its ``data`` of every element
+    entry, the permutation mapping ``data`` onto that of the transpose,
+    the stiffness projectors
 
         P1_t = G_t G_t^T,   P2_tq = (G_t e_q)(G_t e_q)^T   (e = x/|x|, 0 at x = 0),
 
@@ -232,8 +224,10 @@ class Assembler:
         mass       M_t = (mass_w w c)_t @ Phi,  Phi[q, i nv + j] = phi_i phi_j
 
     with c = f for H(r) and c = dV/du(r x, u) for J(r, u), so J(r, 0)
-    equals H(r) exactly.  A flat metric (w = a = 1) gives K_t =
-    (sum_q gw) P1_t, the Gram matrix's kernel, bit for bit.  A matrix is
+    equals H(r) exactly.  ``h`` and ``boundary_flux`` share the element
+    matrices K_t + r^2 M_t of H(r); the flux applies their boundary-node
+    rows to a vector extended by zero.  A flat metric (w = a = 1) gives
+    K_t = (sum_q gw) P1_t, the Gram matrix's kernel, bit for bit.  A matrix is
     one ``np.bincount`` into the slots followed by 0.5 (d + d[transpose]),
     which is exactly symmetric.  The mass and nonlinear terms read only w
     from the metric.
@@ -299,10 +293,6 @@ class Assembler:
         self.mass_w = 0.5 * h[:, None] * _G3_W[None, :]
         lam1 = 0.5 * (1.0 + _G3_X)
         self.mass_phi = np.stack([1.0 - lam1, lam1], axis=0)  # (nv, qm) = (2, 3)
-        # The boundary is the two end points, each of weight 1.
-        self.bd_elements = np.array([0, len(h) - 1])
-        self.bd_pts = mesh.nodes[[0, -1]][:, None, :]      # (2, 1, 1)
-        self.bd_w = np.ones((2, 1))
 
     def _setup_2d(self):
         mesh = self.mesh
@@ -321,12 +311,6 @@ class Assembler:
         self.mass_pts = np.einsum("qi,tid->tqd", _TRI7_BARY, v)
         self.mass_w = area[:, None] * _TRI7_W[None, :]
         self.mass_phi = _TRI7_BARY.T                       # (3, 7)
-        # 2-point Gauss along each straight boundary edge.
-        p0, p1 = mesh.nodes[mesh.boundary_edges.T[:, :, None]]  # (nb, 1, 2) each
-        s = _G2_S[:, None]
-        self.bd_elements = mesh.boundary_elements
-        self.bd_pts = (1.0 - s) * p0 + s * p1              # (nb, 2, 2)
-        self.bd_w = 0.5 * np.linalg.norm(p1 - p0, axis=2).repeat(2, axis=1)
 
     def _setup_scatter(self):
         """Interior CSR pattern, element-entry slots, transpose permutation.
@@ -423,9 +407,26 @@ class Assembler:
             self._lu_S = factor(self._S)
         return self._lu_S
 
-    def h(self, r: float) -> sp.csr_matrix:
+    def _h_elements(self, r: float) -> np.ndarray:
+        """Element matrices of H(r), flattened to (ne, nv * nv)."""
         K, wq, fq = self._r_data(r)
-        return self._scatter(K + r * r * ((wq * fq) @ self._phi2))
+        return K + r * r * ((wq * fq) @ self._phi2)
+
+    def h(self, r: float) -> sp.csr_matrix:
+        return self._scatter(self._h_elements(r))
+
+    def boundary_flux(self, r: float, V: np.ndarray) -> np.ndarray:
+        """Boundary-node rows, in ``mesh.boundary_nodes`` order, of the
+        full-node H(r) applied to V (n_interior, m) extended by zero: the
+        discrete flux sigma_b ~ int (A grad u . n) phi_b dS, by Green's
+        identity, of a u that solves the interior equation."""
+        ne, nv = self.mesh.elements.shape
+        full = np.zeros((self.mesh.n_nodes, V.shape[1]))
+        full[self._int_idx] = V
+        Fe = self._h_elements(r).reshape(ne, nv, nv) @ full[self.mesh.elements]
+        sigma = np.zeros_like(full)
+        np.add.at(sigma, self.mesh.elements.ravel(), Fe.reshape(ne * nv, -1))
+        return sigma[self.mesh.boundary_nodes]
 
     def jacobian(self, r: float, u: np.ndarray) -> sp.csr_matrix:
         _, uq = self._element_values(u)

@@ -8,6 +8,9 @@ tests make on its output:
     pivoted LDL^T of LAPACK ``dsytrf``, against ``spectral.inertia``;
   * ``smallest_eigenpairs``: dense generalized eigenpairs, against
     ``spectral.kernel_eigenpairs`` and as an eigenvalue oracle;
+  * ``pencil_crossings``: the discrete conjugate radii and their
+    multiplicities of a flat metric with constant f, from one pencil
+    eigensolve, against the bisection of ``conjugate``;
   * ``metric_fields``: A = g^{-1} |g|^(1/2) and w = |g|^(1/2) as full
     matrices from g = P_rad + q^2 P_tan, against the radial profiles of
     ``metric.coefficients``;
@@ -29,6 +32,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from smalescan import branch, spectral
 
@@ -99,6 +103,34 @@ def smallest_eigenpairs(H, S, k: int) -> spectral.EigenPairs:
     except la.LinAlgError as exc:
         raise spectral.FactorizationError(f"generalized eigensolve failed: {exc}") from exc
     return spectral.EigenPairs(values=vals, vectors=vecs)
+
+
+def pencil_crossings(asm, k, tol):
+    """Discrete conjugate radii in (0, 1] with their multiplicities, for a
+    flat metric and a constant f < 0.
+
+    There H(r) = S + r^2 f M exactly, with M = (H(1) - S)/f, so H(r) is
+    singular exactly at r = sqrt(mu/-f) for every eigenvalue mu of the
+    pencil S v = mu M v.  The k smallest mu come from one shift-invert
+    eigensolve and must reach past r = 1, so that no crossing is missed;
+    radii closer than ``tol`` form one crossing, whose multiplicity is
+    their number.  Returns [(r, m)] ascending.
+    """
+    f = asm.spec.f
+    if asm.metric.kappa != 0.0 or callable(f) or not f < 0.0:
+        raise ValueError("the pencil needs a flat metric and a constant f < 0")
+    S = asm.gram()
+    mu = spla.eigsh(S, k, (asm.h(1.0) - S) / f, sigma=0.0, return_eigenvectors=False)
+    radii = np.sort(np.sqrt(mu / -f))
+    if radii[-1] <= 1.0:
+        raise ValueError(f"the {k} smallest pencil radii do not reach past r = 1")
+    clusters = []
+    for r in radii[radii <= 1.0]:
+        if clusters and r - clusters[-1][-1] <= tol:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    return [(float(np.mean(c)), len(c)) for c in clusters]
 
 
 # ---------------------------------------------------------------------------

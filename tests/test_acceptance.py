@@ -169,11 +169,11 @@ def test_criterion_3_crossing_form_agreement(osc_pipeline, disc_pipeline):
             closed_form = -2.3 * np.pi ** 2  # = -2 c r* at r* = 1/4.6
             assert abs(gamma_l2 - closed_form) / abs(closed_form) <= 0.005
 
-    # 2D: agreement <= 10%, negative definite, |signature| = m
+    # 2D: agreement <= 1%, negative definite, |signature| = m
     q = disc_pipeline
     for cj in q["conjs"]:
         rep = conjugate.verify_crossing(q["asm"], cj)
-        assert rep.agreement <= 0.10
+        assert rep.agreement <= 0.01
         assert np.all(np.linalg.eigvalsh(rep.gamma_fd) < 0.0)
         assert abs(rep.signature) == cj.multiplicity
     _announce(3, "crossing-form agreement")

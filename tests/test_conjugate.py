@@ -7,6 +7,8 @@ from scipy.special import jn_zeros
 from smalescan import branch, conjugate, fem, metric, problem
 from smalescan.fem import Assembler
 
+from reference import pencil_crossings
+
 C_OSC = (2.3 * np.pi) ** 2
 
 
@@ -129,6 +131,20 @@ class TestLocate:
         hi = conjugate.inertia(asm.h(cj.bracket[1]))
         assert hi - lo == cj.multiplicity
 
+    @pytest.mark.parametrize("fixture", ["osc_1d", "disc_2d"])
+    def test_radii_match_the_discrete_pencil(self, request, fixture):
+        # Flat metric, constant f: the discrete radii are known exactly, so
+        # every localization must sit within the bisection tolerance of
+        # them, with the pencil's cluster sizes as multiplicities.
+        asm = request.getfixturevalue(fixture)
+        tol = conjugate.BISECTION_TOL[asm.mesh.dim]
+        sc = conjugate.scan(asm, [conjugate.R_MIN_FLOOR, 1.0])
+        found = conjugate.find_conjugate_radii(asm, sc)
+        exact = pencil_crossings(asm, 8, tol)
+        assert [c.multiplicity for c in found] == [m for _, m in exact]
+        for cj, (r, _) in zip(found, exact):
+            assert abs(cj.r_star - r) <= tol
+
     def test_bisection_raises_on_count_drop(self):
         # 0 -> 2 -> 1 on [0, 1] used to be clamped into one crossing near 0.3
         def n_neg(r):
@@ -187,27 +203,28 @@ class TestCrossingForms:
         gamma_bd = conjugate.crossing_form_boundary(asm, cj)
         assert gamma_bd[0, 0] == pytest.approx(-2.0 / cj.r_star, rel=1e-4)
 
-    @pytest.mark.parametrize("kappa", [0.0, 1.0])
-    def test_boundary_matches_continuum_closed_form_2d(self, kappa):
-        # u = 1 - |x|^2 has <grad u, x> = -2 on the unit circle, so the
-        # continuum form is -8 pi w(r*)/r*, w = sin(sqrt(k) r)/(sqrt(k) r).
-        # The adjacent-element gradient makes the error O(h).
-        r_star = 0.5
-        w = np.sin(np.sqrt(kappa) * r_star) / (np.sqrt(kappa) * r_star) if kappa else 1.0
-        expect = -8.0 * np.pi * w / r_star
+    def test_boundary_form_on_the_disc_is_rellichs(self):
+        # Rellich: int_{dB} (d_n u)^2 dS = 2 lambda int u^2 for a Dirichlet
+        # eigenfunction on the unit ball, and an S-normalized kernel vector
+        # at r* has lambda int u^2 = 1, so Gamma = -(2/r*) I on every
+        # kernel basis.  The discrete flux makes the error O(h^2).
         err = {}
         for rings in (20, 40):
-            mesh = fem.build_mesh(2, rings)
-            x = mesh.nodes[~mesh.boundary_nodes]
-            V = (1.0 - np.sum(x * x, axis=1))[:, None]
-            cj = conjugate.ConjugateRadius(
-                r_star=r_star, multiplicity=1, kernel_basis=V, bracket=(r_star, r_star)
-            )
-            asm = Assembler(mesh, metric.MetricModel(kappa), problem.ProblemSpec(0.0))
-            gamma = conjugate.crossing_form_boundary(asm, cj)
-            err[rings] = abs(gamma[0, 0] / expect - 1.0)
-        assert err[40] <= 0.025
-        assert 1.9 <= err[20] / err[40] <= 2.1
+            for k, (cj, rep) in enumerate(_near_two_crossings(0.0, rings)):
+                dev = 0.5 * cj.r_star * rep.gamma_bd + np.eye(cj.multiplicity)
+                err[rings, k] = np.linalg.norm(dev, 2)
+        for k in range(2):
+            assert err[40, k] <= 2.5e-3
+            assert 3.5 <= err[20, k] / err[40, k] <= 4.5
+
+    def test_boundary_form_agreement_is_second_order_on_the_cap(self):
+        agreement = {
+            rings: [rep.agreement for _, rep in _near_two_crossings(1.0, rings)]
+            for rings in (20, 40)
+        }
+        for a20, a40 in zip(agreement[20], agreement[40]):
+            assert a40 <= 0.01
+            assert 3.5 <= a20 / a40 <= 4.5
 
     def test_two_method_agreement_1d(self):
         mesh = fem.build_mesh(1, 2000)
@@ -227,7 +244,7 @@ class TestCrossingForms:
         assert np.all(eigs < 0.0)
         assert rep.signature == -2
         assert abs(rep.signature) == cj.multiplicity
-        assert rep.agreement <= 0.10
+        assert rep.agreement <= 0.01
         assert np.array_equal(rep.gamma_bd, rep.gamma_bd.T)
 
     def test_unique_continuation_consequence(self, disc_2d):
@@ -237,6 +254,18 @@ class TestCrossingForms:
         gamma_bd = conjugate.crossing_form_boundary(asm, cj)
         for j in range(cj.multiplicity):
             assert gamma_bd[j, j] < -1e-3
+
+
+def _near_two_crossings(kappa, rings):
+    """(crossing, verify_crossing report) for the first simple (r near 0.40)
+    and the first double (r near 0.64) crossing of f = -36 on the disc
+    (kappa = 0) or the cap (kappa = 1), from narrow brackets."""
+    asm = Assembler(fem.build_mesh(2, rings), metric.MetricModel(kappa),
+                    problem.ProblemSpec(-36.0))
+    found = conjugate.find_conjugate_radii(
+        asm, conjugate.scan(asm, [0.398, 0.402, 0.637, 0.641]))
+    assert [cj.multiplicity for cj in found] == [1, 2]
+    return [(cj, conjugate.verify_crossing(asm, cj)) for cj in found]
 
 
 class TestVerifyIndex:

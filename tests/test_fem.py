@@ -47,7 +47,6 @@ class TestMesh:
         assert mesh.n_nodes == 1 + 3 * R * (R + 1)
         assert len(mesh.elements) == 6 * R * R
         assert mesh.boundary_nodes.sum() == 6 * R
-        assert len(mesh.boundary_edges) == 6 * R
 
     def test_nodes_inside_ball_and_boundary_on_circle(self):
         mesh = fem.build_mesh(2, 9)
@@ -65,17 +64,23 @@ class TestMesh:
         areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         assert np.all(areas > 1e-14)
 
-    def test_boundary_edge_adjacency(self):
-        # The boundary edges are the 6R consecutive pairs of the outer
-        # ring (R = 1: the center fan's), each inside its adjacent triangle.
-        for R in (1, 2, 4):
-            mesh = fem.build_mesh(2, R)
-            start, n = 1 + 3 * R * (R - 1), 6 * R
-            ring = {frozenset((start + j, start + (j + 1) % n)) for j in range(n)}
-            assert len(mesh.boundary_edges) == n
-            assert {frozenset(e) for e in mesh.boundary_edges.tolist()} == ring
-            for (p, q), t in zip(mesh.boundary_edges, mesh.boundary_elements):
-                assert {p, q} <= set(mesh.elements[t])
+    def test_boundary_weights(self):
+        # Lumped P1 boundary measure: 1 at both 1D end points; in 2D half of
+        # each of the two adjacent chords, both of length 2 sin(pi/(6R)),
+        # summing to the polygon's perimeter.  0 off the boundary.
+        for mesh in (fem.build_mesh(1, 5), *(fem.build_mesh(2, R) for R in (1, 2, 7))):
+            bw = mesh.boundary_weights
+            assert bw.shape == (mesh.n_nodes,)
+            assert np.all(bw[~mesh.boundary_nodes] == 0.0)
+            if mesh.dim == 1:
+                assert np.array_equal(bw[mesh.boundary_nodes], [1.0, 1.0])
+                continue
+            R = int(mesh.boundary_nodes.sum()) // 6
+            assert np.allclose(bw[mesh.boundary_nodes], 2.0 * np.sin(np.pi / (6 * R)),
+                               rtol=0.0, atol=1e-15)
+            ring = mesh.nodes[mesh.boundary_nodes]
+            perimeter = np.linalg.norm(np.roll(ring, 1, axis=0) - ring, axis=1).sum()
+            assert bw.sum() == pytest.approx(perimeter, rel=1e-14)
 
     def test_determinism(self):
         a = fem.build_mesh(2, 6)
@@ -147,6 +152,23 @@ class TestAssembleH:
             for r in (-0.5, -1e-300, 1.5, float("nan")):
                 with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
                     form(r)
+
+
+@pytest.mark.parametrize("dim,res", [(1, 30), (2, 5)], ids=["1d-30", "2d-5"])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
+def test_boundary_flux_balances_interior_rows(dim, res, kappa):
+    # With f = 0 every element matrix has zero column sums (1^T G_t = 0,
+    # the hat functions sum to 1), so the boundary flux of any u is minus
+    # the sum of the interior rows of H(r) u.
+    mesh = fem.build_mesh(dim, res)
+    asm = fem.Assembler(mesh, metric.MetricModel(kappa), problem.ProblemSpec(0.0))
+    U = np.random.default_rng(13).standard_normal((mesh.n_interior, 2))
+    for r in (0.3, 1.0):
+        sigma = asm.boundary_flux(r, U)
+        assert sigma.shape == (int(mesh.boundary_nodes.sum()), 2)
+        HU = asm.h(r) @ U
+        scale = np.abs(HU).sum(axis=0)
+        assert np.all(np.abs(sigma.sum(axis=0) + HU.sum(axis=0)) <= 1e-13 * scale)
 
 
 class TestGram:
