@@ -2,11 +2,15 @@
 
 The semilinear residual vanishes identically at u = 0 for every r; a
 branch of nontrivial solutions can only leave the trivial line at a
-conjugate radius.  This module traces such branches (damped Newton with
-a secant predictor, seeded along the kernel direction with the
-pitchfork amplitude of the local normal form) and confirms that their norm
-vanishes into the crossing.  Like the stages of ``conjugate``, every
-function takes the problem's ``fem.Assembler`` first.
+conjugate radius.  This module traces such branches and confirms that
+their norm vanishes into the crossing.  The first radius is seeded along
+the kernel direction with the pitchfork amplitude of the local normal
+form; later radii start from a polynomial extrapolation through the last
+``PREDICTOR_POINTS`` solutions.  Each radius is solved by chord steps on
+the Jacobian factor carried from the previous radius while they contract
+the residual, and by damped Newton from the first step that does not.
+Like the stages of ``conjugate``, every function takes the problem's
+``fem.Assembler`` first.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ NEWTON_MAX_ITERS = 50
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1e-4
 TRIVIAL_NORM = 1e-8
+# A chord step on a carried Jacobian factor is kept only if it shrinks
+# the dual-norm residual at least this much.
+CHORD_CONTRACTION = 0.1
+# Solutions the continuation predictor extrapolates through.
+PREDICTOR_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,9 @@ def _h1_norm(S, u) -> float:
     return math.sqrt(max(float(u @ (S @ u)), 0.0))
 
 
-def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
+def newton_solve(
+    asm: Assembler, r: float, u0: np.ndarray, carry: Optional[list] = None
+) -> BranchSample:
     """Damped Newton for the semilinear residual at fixed r.
 
     The merit function is half the squared residual in the S-inverse
@@ -71,6 +82,17 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
     Jacobian that ``spectral.factor`` refuses or a stalled line search
     ends the run with ``converged = False``; the caller decides whether
     to reseed.
+
+    ``carry`` is an optional one-element list holding a Jacobian factor
+    (or None) from an earlier solve, typically at the neighbouring
+    radius.  While it holds one, the iteration takes full chord steps
+    u <- u - J_old^-1 F(r, u), each kept only if it shrinks the residual
+    norm by CHORD_CONTRACTION; the first step that does not drops the
+    factor, and damped Newton with a fresh Jacobian per step takes over
+    for the rest of the solve.  Chord steps count toward
+    NEWTON_MAX_ITERS.  Every fresh factor replaces the held one, so the
+    list ends up holding the last factor made (at most one stays alive).
+    Without ``carry`` the iteration is plain damped Newton.
     """
     S = asm.gram()
     lu_S = asm.gram_lu()
@@ -91,10 +113,26 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
     rnorm = dual_norm(res)
     iters = 0
     converged = done(u, rnorm)
+    if carry is None:
+        carry = [None]
+    chord = carry[0] is not None
     while not converged and iters < NEWTON_MAX_ITERS:
+        if chord:
+            trial = u - carry[0].solve(res)
+            if np.all(np.isfinite(trial)):
+                res_t = asm.residual(r, trial)
+                rn_t = dual_norm(res_t)
+                if rn_t <= CHORD_CONTRACTION * rnorm:
+                    u, res, rnorm = trial, res_t, rn_t
+                    iters += 1
+                    converged = done(u, rnorm)
+                    continue
+            chord = False  # the carried factor no longer contracts
         J = asm.jacobian(r, u)
+        carry[0] = None  # release the held factor before making the next
         try:
-            step = factor(J).solve(-res)
+            carry[0] = factor(J)
+            step = carry[0].solve(-res)
         except FactorizationError:
             break  # refused Jacobian factor: report non-convergence
         if not np.all(np.isfinite(step)):
@@ -123,6 +161,17 @@ def newton_solve(asm: Assembler, r: float, u0: np.ndarray) -> BranchSample:
         newton_iters=iters,
         converged=bool(converged),
     )
+
+
+def _extrapolation_weights(m: int) -> np.ndarray:
+    """Weights that extrapolate m equally spaced samples one spacing on.
+
+    The polynomial of degree m - 1 through the samples at the last m
+    points takes, one spacing beyond the newest, the value
+    sum_i w_i u_{j-i} with w_i = (-1)^i C(m, i + 1), i = 0 the newest
+    (m = 2 is the secant 2 u_j - u_{j-1}).
+    """
+    return np.array([(-1) ** i * math.comb(m, i + 1) for i in range(m)], dtype=float)
 
 
 def _seed_amplitude(asm: Assembler, r1: float, phi: np.ndarray, step_size: float) -> float:
@@ -157,13 +206,15 @@ def trace_branch(
     sqrt(-lambda(r_1)/K4(r_1)), where lambda is the Rayleigh quotient of
     the kernel vector and K4 its cubic residual coefficient; the bare
     sqrt(step) scale is the fallback when the local normal form gives no
-    usable sign (e.g. linear problems).  The second radius starts from
-    the first solution; from the third on, the guess is the secant
-    prediction 2 u_{j-1} - u_{j-2}, the line through the last two
-    solutions.  A collapse onto the trivial solution is retried once
-    from the doubled guess; if the branch is still lost the trace
-    reports a one-sided failure (the opposite direction may carry the
-    branch).
+    usable sign (e.g. linear problems).  From the second radius on, the
+    guess extrapolates the polynomial through the last
+    min(j - 1, PREDICTOR_POINTS) solutions one step on (the first
+    solution itself at j = 2, the secant at j = 3).  One Jacobian factor
+    is carried from radius to radius (see ``newton_solve``), so a radius
+    whose guess the carried factor contracts costs no factorization.  A
+    collapse onto the trivial solution is retried once from the doubled
+    guess; if the branch is still lost the trace reports a one-sided
+    failure (the opposite direction may carry the branch).
 
     The trace is confirmed when every sample is nontrivial, the norms
     decrease monotonically into r*, and the extrapolated zero of
@@ -181,15 +232,16 @@ def trace_branch(
     samples: List[BranchSample] = []
     failure = None
     guess = amplitude * phi
+    carry = [None]
     for j in range(1, steps + 1):
         r_j = r_star + direction * j * step_size
         if not 0.0 < r_j <= 1.0:
             failure = f"continuation left (0, 1] at r = {r_j:.6f}"
             break
-        sample = newton_solve(asm, r_j, guess)
+        sample = newton_solve(asm, r_j, guess, carry)
         if sample.converged and sample.h1_norm <= TRIVIAL_NORM:
             retry_guess = 2.0 * (guess if samples else amplitude * phi)
-            sample = newton_solve(asm, r_j, retry_guess)
+            sample = newton_solve(asm, r_j, retry_guess, carry)
         if not sample.converged:
             failure = f"Newton did not converge at r = {r_j:.6f}"
             break
@@ -197,9 +249,10 @@ def trace_branch(
             failure = f"branch lost to the trivial solution at r = {r_j:.6f}"
             break
         samples.append(sample)
-        # Secant predictor: linear extrapolation through the last two
-        # solutions (the radii are equally spaced).
-        guess = sample.u if len(samples) < 2 else 2.0 * sample.u - samples[-2].u
+        # The radii are equally spaced, so the extrapolation weights
+        # depend only on how many solutions there are.
+        recent = samples[-PREDICTOR_POINTS:][::-1]  # newest first
+        guess = _extrapolation_weights(len(recent)) @ np.array([s.u for s in recent])
 
     confirmed = False
     intercept = None

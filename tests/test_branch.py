@@ -23,6 +23,20 @@ def osc_cubic():
     return asm, cj
 
 
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """One entry per Jacobian factorization made through ``branch.factor``."""
+    calls = []
+    factor = branch.factor
+
+    def counted(J):
+        calls.append(1)
+        return factor(J)
+
+    monkeypatch.setattr(branch, "factor", counted)
+    return calls
+
+
 def shooting_solution(r, c=C_OSC):
     """Symmetric positive solution of -U'' - cU + U^3 = 0 on (-r, r).
 
@@ -104,6 +118,53 @@ class TestNewton:
         s = branch.newton_solve(asm, 0.24, 5.5 * cj.kernel_basis[:, 0])
         assert not s.converged
         assert s.newton_iters == 0
+
+    def test_factor_carried_from_a_neighbouring_radius(self, osc_cubic, factor_calls):
+        asm, cj = osc_cubic
+        carry = [None]
+        prev = branch.newton_solve(asm, 0.24, 5.5 * cj.kernel_basis[:, 0], carry)
+        assert prev.converged and carry[0] is not None
+        fresh = branch.newton_solve(asm, 0.241, prev.u)
+        before = len(factor_calls)
+        s = branch.newton_solve(asm, 0.241, prev.u, carry)
+        assert s.converged
+        assert len(factor_calls) == before  # chord steps on the carried factor only
+        S = asm.gram()
+        d = s.u - fresh.u
+        assert np.sqrt(d @ (S @ d)) <= branch.NEWTON_TOL * (1.0 + abs(S).max())
+
+    def test_useless_carried_factor_falls_back_to_newton(self, osc_cubic):
+        asm, cj = osc_cubic
+        u0 = 5.5 * cj.kernel_basis[:, 0]
+        far = spectral.factor(asm.jacobian(0.6, np.zeros(asm.mesh.n_interior)))
+        carry = [far]
+        s = branch.newton_solve(asm, 0.24, u0, carry)
+        fresh = branch.newton_solve(asm, 0.24, u0)
+        assert s.converged and s.h1_norm > 1e-3
+        assert carry[0] is not far
+        # the first chord step fails, so the solve is plain damped Newton
+        assert s.newton_iters == fresh.newton_iters
+        assert np.array_equal(s.u, fresh.u)
+
+
+class TestPredictor:
+    def test_weights_reproduce_low_degree_polynomials(self):
+        # integer nodes and coefficients keep every product exact
+        rng = np.random.default_rng(0)
+        for m in range(1, branch.PREDICTOR_POINTS + 1):
+            w = branch._extrapolation_weights(m)
+            back = -np.arange(m, dtype=float)  # newest first, unit spacing
+            for degree in range(m):
+                p = np.polynomial.Polynomial(rng.integers(-9, 10, degree + 1).astype(float))
+                assert w @ p(back) == p(1.0)
+
+    def test_trace_reuses_factors(self, osc_cubic, factor_calls):
+        asm, cj = osc_cubic
+        tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], +1, 100, 1e-3)
+        assert tr.confirmed
+        assert len(factor_calls) <= 50
+        # intercept of the secant predictor with a fresh factor per step
+        assert tr.intercept == pytest.approx(0.21734596186101302, abs=1e-6)
 
 
 class TestTraceBranch:
