@@ -7,7 +7,11 @@ count n_neg(H(r)) is a nondecreasing step function of r.  The count has
 one definition, ``_n_neg_evaluator``: the scan evaluates it once per
 grid point and checks that it rises, and bisection starts from the
 scan's counts at the ends of every rising grid cell; its
-split-and-recurse alone separates crossings that share a cell.
+split-and-recurse alone separates crossings that share a cell.  Each
+bisection probe sits at a safeguarded secant zero of the pencil
+eigenvalue of (H(r), S) nearest zero, read off the factor that the
+probe's own count made, so the probes home in on the crossing while
+every one of them is still a certified count.
 
 The crossing form on the kernel at r* is computed two independent
 ways: as the central difference of the assembled bilinear form in r
@@ -46,7 +50,7 @@ import numpy as np
 
 from . import metric as metric_mod
 from .fem import Assembler
-from .spectral import FactorizationError, inertia, kernel_eigenpairs
+from .spectral import KERNEL_SEED, FactorizationError, inertia, kernel_eigenpairs
 
 __all__ = [
     "ScanResult",
@@ -68,6 +72,9 @@ R_MIN_FLOOR = 1e-3
 BISECTION_TOL = {1: 1e-8, 2: 1e-6}
 KERNEL_RESIDUAL_TOL = 1e-6
 KERNEL_THRESHOLD_AT_ONE = 1e-7
+# Inverse-iteration solves per bisection probe for the eigenvalue that
+# places the next probe.
+SECANT_SOLVES = 2
 
 
 class VerificationError(RuntimeError):
@@ -135,18 +142,47 @@ def _n_neg_evaluator(asm: Assembler):
     measure-zero set of radii; a deterministic nudge of relative size
     1e-9, toward the interior of (0, 1], moves off it without affecting
     any located quantity (bisection tolerances are 1e-8 and coarser).
+    The closure's ``keep`` attribute is None; set to a one-element list,
+    it receives the factor of each count (see ``spectral.inertia``).
     """
 
     def n_neg(r: float) -> int:
         shift = 0.0
         for attempt in range(4):
             try:
-                return inertia(asm.h(r + shift if r + shift <= 1.0 else r - shift))
+                return inertia(
+                    asm.h(r + shift if r + shift <= 1.0 else r - shift), n_neg.keep
+                )
             except FactorizationError:
                 shift = (attempt + 1) * 1e-9 * (1.0 + r)
         raise FactorizationError(f"inertia evaluation failed near r = {r}")
 
+    n_neg.keep = None
     return n_neg
+
+
+def _nearest_eigenvalue(lu, S, x: np.ndarray):
+    """Eigenvalue of the pencil (H, S) nearest zero, and its S-normalized
+    vector, after SECANT_SOLVES inverse-iteration solves from x with the
+    factor ``lu`` of H.
+
+    With y = H^-1 S x the estimate is x^T S x / x^T S y, a Rayleigh
+    quotient of the inverted pencil: its error is relative to the
+    eigenvalue itself, however close to zero that is.  None when
+    x^T S y is zero.
+    """
+    Sx = S @ x
+    xSx = x @ Sx
+    for _ in range(SECANT_SOLVES):
+        y = lu.solve(Sx)
+        ySx = y @ Sx
+        if ySx == 0.0:
+            return None, x
+        lam = xSx / ySx
+        Sy = S @ y
+        norm = math.sqrt(y @ Sy)
+        x, Sx, xSx = y / norm, Sy / norm, 1.0
+    return lam, x
 
 
 def _check_rise(r_a: float, n_a: int, r_b: float, n_b: int):
@@ -186,30 +222,78 @@ def scan(asm: Assembler, r_grid: Sequence[float], threads: int = 1) -> ScanResul
     return ScanResult(r=r_grid, n_neg=np.array(counts, dtype=int))
 
 
-def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol) -> List[Tuple[float, float, int, int]]:
+def _secant_probe(lo: float, hi: float, samples, tol: float):
+    """Probe a third of tol from the secant zero of the last two samples
+    (r, lambda), toward the longer side of [lo, hi]; None when there are
+    fewer than two samples or the zero is not inside the bracket.
+
+    Stepping off the estimate toward the longer side makes the count
+    move that end, so an estimate good to tol/3 closes the bracket to
+    2 tol/3 in two probes, one on each side.
+    """
+    if len(samples) < 2:
+        return None
+    (a, fa), (b, fb) = samples[-2:]
+    if fa == fb:
+        return None
+    s = b - fb * (b - a) / (fb - fa)
+    if not lo < s < hi:
+        return None
+    step = tol / 3.0
+    return s - step if s - lo > hi - s else s + step
+
+
+def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol,
+            eigenvalue=None) -> List[Tuple[float, float, int, int]]:
     """Shrink [r_lo, r_hi] around each crossing down to width <= tol.
 
-    Returns final brackets (lo, hi, n_lo, n_hi).  When the midpoint
-    count splits the jump, both halves carry a crossing and are
-    refined independently (split-and-recurse).  A midpoint count
-    outside [n_lo, n_hi] contradicts monotonicity and is raised.
+    Returns final brackets (lo, hi, n_lo, n_hi).  Every probe's count
+    moves one end of the bracket; when it splits the jump, both halves
+    carry a crossing and are refined independently (split-and-recurse).
+    A probe count outside [n_lo, n_hi] contradicts monotonicity and is
+    raised.
+
+    ``eigenvalue()``, when given, returns the pencil eigenvalue nearest
+    zero at the radius just counted (or None).  Its samples place the
+    probes by a safeguarded secant (``_secant_probe``): a sample counts
+    only if its sign matches the side it landed on (positive below the
+    crossing, negative above).  The midpoint is probed instead when the
+    secant zero leaves the bracket, when fewer than two samples exist,
+    and when the last two probes together did not halve the bracket, so
+    the bracket shrinks at least as fast as every other bisection step.
+    Without ``eigenvalue`` every probe is the midpoint (bisection).
     """
-    stack = [(r_lo, n_lo, r_hi, n_hi)]
+    stack = [(r_lo, n_lo, r_hi, n_hi, [])]
     final = []
     while stack:
-        lo, nlo, hi, nhi = stack.pop()
+        lo, nlo, hi, nhi, samples = stack.pop()
+        widths = []  # bracket width before each probe
         while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            nmid = n_neg(mid)
-            _check_rise(lo, nlo, mid, nmid)
-            _check_rise(mid, nmid, hi, nhi)
-            if nmid > nlo and nmid < nhi:
-                stack.append((mid, nmid, hi, nhi))
-                hi, nhi = mid, nmid
-            elif nmid == nlo:
-                lo = mid
+            r = None
+            if len(widths) < 2 or hi - lo <= 0.5 * widths[-2]:
+                r = _secant_probe(lo, hi, samples, tol)
+            if r is None:
+                r = 0.5 * (lo + hi)
+            widths.append(hi - lo)
+            n = n_neg(r)
+            lam = eigenvalue() if eigenvalue is not None else None
+            _check_rise(lo, nlo, r, n)
+            _check_rise(r, n, hi, nhi)
+            below = lam is not None and lam > 0.0
+            above = lam is not None and lam < 0.0
+            if nlo < n < nhi:
+                stack.append((r, n, hi, nhi, [(r, lam)] if below else []))
+                hi, nhi = r, n
+                samples = [(r, lam)] if above else []
+                widths = []
+            elif n == nlo:
+                lo = r
+                if below:
+                    samples.append((r, lam))
             else:
-                hi = mid
+                hi = r
+                if above:
+                    samples.append((r, lam))
         final.append((lo, hi, nlo, nhi))
     final.sort()
     return final
@@ -220,18 +304,35 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
 
     Bisection starts from the scan's counts at the cell ends and runs on
     the same strict negative count; its split-and-recurse separates any
-    two crossings more than about half the tolerance apart.  Brackets
-    that keep a jump >= 2 down to the final width are genuine multiple
-    crossings, and their multiplicity is the jump itself.  Kernel bases
-    come from the smallest-|lambda| eigenvectors at the final midpoint.
-    Brackets shrink to BISECTION_TOL of the mesh dimension.
+    two crossings more than about half the tolerance apart.  Each
+    probe is placed by a safeguarded secant on the pencil eigenvalue of
+    (H(r), S) nearest zero, from SECANT_SOLVES inverse-iteration solves
+    with the factor the probe's own count made, so a probe costs one
+    factorization (see ``_bisect``).  Brackets that keep a jump >= 2
+    down to the final width are genuine multiple crossings, and their
+    multiplicity is the jump itself.  Kernel bases come from the
+    smallest-|lambda| eigenvectors at the final midpoint.  Brackets
+    shrink to BISECTION_TOL of the mesh dimension.
     """
     tol = BISECTION_TOL[asm.mesh.dim]
     n_neg = _n_neg_evaluator(asm)
+    keep = n_neg.keep = [None]
     S = asm.gram()
+    start = np.random.default_rng(KERNEL_SEED).standard_normal(S.shape[0])
+    x = [start]
+
+    def eigenvalue():
+        lu, keep[0] = keep[0], None
+        if lu is None:
+            return None
+        lam, x[0] = _nearest_eigenvalue(lu, S, x[0])
+        return lam
+
     out = []
     for r_lo, n_lo, r_hi, n_hi in scan_result.brackets():
-        for blo, bhi, bnlo, bnhi in _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol):
+        x[0] = start
+        for blo, bhi, bnlo, bnhi in _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol,
+                                            eigenvalue):
             m = bnhi - bnlo
             r_star = 0.5 * (blo + bhi)
             H = asm.h(r_star)

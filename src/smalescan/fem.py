@@ -358,10 +358,15 @@ class Assembler:
         return K, w[:, qg:]
 
     def _mass_data(self, r: float, w: np.ndarray):
-        """Quadrature weight * w and f(r x) at the mass points."""
+        """Quadrature weight * w and f(r x) at the mass points; the points
+        r x are built only for an f that depends on them."""
         ne, qm, d = self.mass_pts.shape
-        fv = self.spec.f_values((r * self.mass_pts).reshape(-1, d))
-        return self.mass_w * w, fv.reshape(ne, qm)
+        c = self.spec.f_constant
+        if c is None:
+            fq = self.spec.f_values((r * self.mass_pts).reshape(-1, d)).reshape(ne, qm)
+        else:
+            fq = np.full((ne, qm), c)
+        return self.mass_w * w, fq
 
     def _r_data(self, r: float):
         """(K, mass_w w, f) at r, from the slot when r is the last radius;
@@ -438,7 +443,7 @@ class Assembler:
         ue, uq = self._element_values(u)
         ne, nv = ue.shape
         K, wq, fq = self._r_data(r)
-        Fe = (K.reshape(ne, nv, nv) @ ue[:, :, None])[:, :, 0]
+        Fe = np.einsum("eij,ej->ei", K.reshape(ne, nv, nv), ue)
         Fe += r * r * ((wq * self.spec.v_values(fq, uq)) @ self.mass_phi.T)
         F = np.bincount(
             self.mesh.elements.ravel(), weights=Fe.ravel(), minlength=self.mesh.n_nodes

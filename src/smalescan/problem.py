@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -38,6 +38,14 @@ class ProblemSpec:
 
     f: Union[float, Callable[[np.ndarray], np.ndarray]]
     cubic_b: float = 0.0
+
+    @property
+    def f_constant(self) -> Optional[float]:
+        """The value of f when it does not depend on the point, else None:
+        a number, or a ``parse_field`` expression that names no coordinate."""
+        if callable(self.f):
+            return getattr(self.f, "constant", None)
+        return float(self.f)
 
     def f_values(self, points: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
@@ -64,7 +72,8 @@ def parse_field(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
     Only nodes of ``_ALLOWED_NODES`` pass, with int or float literals,
     each taken as a double, and the names x1..x<dim> and r2 = |x|^2.
     The evaluator returns values (m,) and sees only the names the
-    expression uses, with no builtins.
+    expression uses, with no builtins.  Its ``constant`` attribute is
+    the expression's value when it names no coordinate, else None.
 
     >>> f = parse_field("2*x1 - 0.5*r2 + 1", dim=2)
     >>> f(np.array([[1.0, 2.0]]))
@@ -96,4 +105,5 @@ def parse_field(text: str, dim: int) -> Callable[[np.ndarray], np.ndarray]:
         }
         return np.full(P.shape[0], eval(code, {"__builtins__": {}}, env))
 
+    field.constant = None if used else float(eval(code, {"__builtins__": {}}, {}))
     return field

@@ -4,7 +4,10 @@ One sparse factorization serves the whole package: ``factor`` runs
 SuperLU restricted to diagonal pivots under a fill-reducing symmetric
 ordering, and raises ``FactorizationError`` when SuperLU refuses.  The
 negative count, the kernel eigensolve, the Gram solve and the Newton
-step all use it.
+step all use it.  Every matrix of one mesh shares one sparsity pattern,
+so the fill-reducing ordering (SuperLU's minimum degree on H + H^T) is
+found once per pattern and kept; each factorization then gathers the
+values into the permuted pattern and factors it in natural order.
 
 The negative count n_neg(H) is the number of negative pivots of that
 factorization (Sylvester's law of inertia), counted strictly by sign:
@@ -31,6 +34,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "EigenPairs",
+    "Factor",
     "FactorizationError",
     "factor",
     "inertia",
@@ -44,6 +48,12 @@ KERNEL_TOL = 1e-11
 KERNEL_MAX_SWEEPS = 60
 KERNEL_SEED = 20240801
 
+# Columns per SuperLU panel: of 1, 2, 4, 8, 12 and the default, 1
+# factored the permuted H(0.7) fastest on the 40-ring cap and about as
+# fast as 2 and 4 on the 2000-segment oscillator.
+PANEL_SIZE = 1
+
+
 class FactorizationError(RuntimeError):
     """A factorization could not be completed reliably."""
 
@@ -56,30 +66,92 @@ class EigenPairs:
     vectors: np.ndarray   # (n, k), vectors[:, i]^T S vectors[:, j] = delta_ij
 
 
-def factor(H):
-    """SuperLU factor of H with diagonal pivots in a symmetric MMD order.
+class Factor:
+    """SuperLU factor ``lu`` of P^T H P, P the fill-reducing order ``p``
+    of H's pattern; ``solve`` solves with H itself."""
 
-    ``H`` is any square matrix, dense or sparse; it is factorized as a
-    CSC matrix.  A refusal raises ``FactorizationError``.
-    """
+    def __init__(self, lu, p: np.ndarray):
+        self.lu = lu
+        self.p = p
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(b[self.p])
+        x = np.empty_like(y)
+        x[self.p] = y
+        return x
+
+
+def _splu(A, permc_spec: str):
     try:
         return spla.splu(
-            sp.csc_matrix(H),
-            permc_spec="MMD_AT_PLUS_A",
+            A,
+            permc_spec=permc_spec,
             diag_pivot_thresh=0.0,
+            panel_size=PANEL_SIZE,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError as exc:
         raise FactorizationError(f"sparse factorization failed: {exc}") from exc
 
 
-def inertia(H) -> int:
+def _pattern_order(A: sp.csc_matrix):
+    """Fill-reducing order of A's pattern and the permuted pattern.
+
+    The order is the column order of SuperLU's ``MMD_AT_PLUS_A`` factor
+    of A itself; ``gather`` maps A's ``data`` onto that of P^T A P.
+    """
+    p = np.argsort(_splu(A, "MMD_AT_PLUS_A").perm_c)
+    # Entry k of A carries the value k + 1 (never zero, so never dropped)
+    # through the permutation.
+    slots = sp.csc_matrix(
+        (np.arange(1.0, A.nnz + 1.0), A.indices, A.indptr), shape=A.shape
+    )
+    B = sp.csc_matrix(slots[p][:, p])
+    B.sort_indices()
+    gather = B.data.astype(np.int64) - 1
+    return A.indptr.copy(), A.indices.copy(), p, B.indptr, B.indices, gather
+
+
+# Pattern of the last matrix factored and its order, as returned by
+# ``_pattern_order``.  Read once per call and replaced as a whole tuple,
+# so concurrent factorizations race at most into a recomputation.  The
+# order depends on the pattern alone and every factor is made in
+# natural order on the permuted matrix, so no factor depends on what
+# the slot held before.
+_order = None
+
+
+def factor(H) -> Factor:
+    """SuperLU factor of H with diagonal pivots in a fill-reducing order.
+
+    ``H`` is any square matrix, dense or sparse; it is factorized as a
+    CSC matrix.  The order is SuperLU's minimum degree on H + H^T,
+    found on the first matrix of a sparsity pattern and reused while
+    the pattern (``indptr`` and ``indices``, compared exactly) repeats;
+    the permuted matrix is factored in natural order.  A refusal raises
+    ``FactorizationError``.
+    """
+    global _order
+    A = sp.csc_matrix(H)
+    A.sum_duplicates()  # the gather needs one entry per position
+    slot = _order
+    if slot is None or not (
+        np.array_equal(slot[0], A.indptr) and np.array_equal(slot[1], A.indices)
+    ):
+        slot = _order = _pattern_order(A)
+    _, _, p, indptr, indices, gather = slot
+    B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
+    return Factor(_splu(B, "NATURAL"), p)
+
+
+def inertia(H, keep=None) -> int:
     """Negative count n_neg(H) of a symmetric matrix: pivots below zero.
 
     SuperLU leaves the diagonal only on an exactly zero pivot, which
     shows as perm_r != perm_c; that, a singular factor, pivot growth
     beyond 1e12 max(max|H|, 1) and non-finite pivots are raised, never
-    counted (see the module docstring).
+    counted (see the module docstring).  ``keep``, a one-element list,
+    receives the factor of a count, for further solves with H.
     """
     if H.shape[0] != H.shape[1]:
         raise ValueError("inertia requires a square matrix")
@@ -89,7 +161,8 @@ def inertia(H) -> int:
         return 0
     if abs(Hc - Hc.T).max() > 1e-12 * scale:
         raise ValueError("inertia requires a symmetric matrix")
-    lu = factor(Hc)
+    F = factor(Hc)
+    lu = F.lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FactorizationError("zero diagonal pivot: row and column orders differ")
     U = lu.U
@@ -98,6 +171,8 @@ def inertia(H) -> int:
     pivots = U.diagonal()
     if not np.all(np.isfinite(pivots)):
         raise FactorizationError("non-finite pivots in factorization")
+    if keep is not None:
+        keep[0] = F
     return int(np.sum(pivots < 0.0))
 
 

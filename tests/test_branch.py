@@ -198,9 +198,10 @@ class TestTraceBranch:
         assert 0.45 <= slope_asym <= 0.55
 
     def test_work_per_trace(self, osc_cubic, monkeypatch):
-        # The r-only data is computed once per radius, and the secant
-        # predictor needs fewer Newton iterations than restarting each
-        # radius from the previous solution, which took 252 here.
+        # The r-only data is computed once per radius, and the
+        # extrapolating predictor needs fewer Newton iterations than
+        # restarting each radius from the previous solution, which took
+        # 252 here.
         asm, cj = osc_cubic
         asm = Assembler(asm.mesh, asm.metric, asm.spec)  # empty radius slot
         calls = []
@@ -229,7 +230,7 @@ class TestTraceBranch:
         asm = Assembler(mesh, met, lin)
         cj = conjugate.find_conjugate_radii(asm, conjugate.scan(asm, [0.20, 0.23]))[0]
         tr = branch.trace_branch(asm, cj.r_star, cj.kernel_basis[:, 0], +1, 10, 1e-3)
-        assert not tr.confirmed  # off the crossing the secant collapses to 0
+        assert not tr.confirmed  # off the crossing the extrapolated guess collapses to 0
 
     def test_rejects_bad_arguments(self, osc_cubic):
         asm, cj = osc_cubic

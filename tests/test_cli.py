@@ -281,7 +281,10 @@ class TestRun:
     def test_every_factorization_uses_the_inertia_options(self, config_file, tmp_path,
                                                           monkeypatch):
         # Negative count, kernel eigensolve, Gram solve and Newton step
-        # share one factorization: diagonal pivots in a symmetric MMD order.
+        # share one factorization with diagonal pivots.  All their matrices
+        # share one sparsity pattern, so a run that starts from an empty
+        # order slot finds the MMD order once and factors in natural order
+        # on the permuted pattern from then on.
         splu = spla.splu
         options = []
 
@@ -290,8 +293,11 @@ class TestRun:
             return splu(A, **kwargs)
 
         monkeypatch.setattr(spla, "splu", recorded)
+        monkeypatch.setattr(spectral, "_order", None)
         assert cli.run("all", config_file, out_dir=tmp_path / "o") == cli.EXIT_OK
-        assert options and set(options) == {("MMD_AT_PLUS_A", 0.0)}
+        assert {thresh for _, thresh in options} == {0.0}
+        assert [spec for spec, _ in options].count("MMD_AT_PLUS_A") == 1
+        assert options.count(("NATURAL", 0.0)) == len(options) - 1 > 0
 
     def test_determinism_byte_identical(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -145,6 +145,30 @@ class TestLocate:
         for cj, (r, _) in zip(found, exact):
             assert abs(cj.r_star - r) <= tol
 
+    @pytest.mark.parametrize("fixture", ["osc_1d", "disc_2d"])
+    def test_at_most_eight_probes_per_located_bracket(self, request, fixture, monkeypatch):
+        # Secant-placed probes: every probe is one counted factorization.
+        asm = request.getfixturevalue(fixture)
+        sc = conjugate.scan(asm, np.linspace(conjugate.R_MIN_FLOOR, 1.0, 200))
+        calls, per_bracket = [], []
+        inertia, bisect = conjugate.inertia, conjugate._bisect
+
+        def counted(H, *args):
+            calls.append(1)
+            return inertia(H, *args)
+
+        def bisect_counted(*args):
+            before = len(calls)
+            brackets = bisect(*args)
+            per_bracket.append((len(calls) - before) / len(brackets))
+            return brackets
+
+        monkeypatch.setattr(conjugate, "inertia", counted)
+        monkeypatch.setattr(conjugate, "_bisect", bisect_counted)
+        found = conjugate.find_conjugate_radii(asm, sc)
+        assert len(found) == 4 and len(per_bracket) == 4
+        assert max(per_bracket) <= 8
+
     def test_bisection_raises_on_count_drop(self):
         # 0 -> 2 -> 1 on [0, 1] used to be clamped into one crossing near 0.3
         def n_neg(r):

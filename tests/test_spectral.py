@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from smalescan import fem, metric, problem, spectral
 
@@ -98,6 +99,61 @@ class TestInertia:
         H = sp.csr_matrix(np.array([[1e-14, 1.0], [1.0, 1e-14]]))
         with pytest.raises(spectral.FactorizationError):
             spectral.inertia(H)
+
+
+class TestFactorOrder:
+    """``factor`` keeps the MMD order of the last sparsity pattern."""
+
+    @staticmethod
+    def oscillator_or_disc(dim):
+        if dim == 1:
+            return fem.Assembler(fem.build_mesh(1, 400), metric.MetricModel(),
+                                 problem.ProblemSpec(-(2.3 * np.pi) ** 2))
+        return fem.Assembler(fem.build_mesh(2, 12), metric.MetricModel(),
+                             problem.ProblemSpec(-36.0))
+
+    @staticmethod
+    def mmd(H):
+        return spla.splu(sp.csc_matrix(H), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reused_order_gives_the_mmd_fill_count_and_solves(self, dim, monkeypatch):
+        asm = self.oscillator_or_disc(dim)
+        r_star = reference.pencil_crossings(asm, 8, 1e-9)[0][0]
+        monkeypatch.setattr(spectral, "_order", None)
+        spectral.factor(asm.gram())
+        slot = spectral._order
+        b = np.random.default_rng(3).standard_normal(asm.gram().shape[0])
+        for r in (0.3, 0.7, 1.0, r_star - 5e-8, r_star + 5e-8):
+            H = asm.h(r)
+            F, lu = spectral.factor(H), self.mmd(H)
+            assert spectral._order is slot  # a hit: the order is not recomputed
+            assert np.array_equal(np.argsort(lu.perm_c), slot[2])  # H's own MMD order
+            assert F.lu.L.nnz + F.lu.U.nnz == lu.L.nnz + lu.U.nnz
+            assert np.array_equal(F.lu.perm_c, np.arange(len(b)))
+            assert spectral.inertia(H) == int((lu.U.diagonal() < 0.0).sum())
+            x, y = F.solve(b), lu.solve(b)
+            # Both solves are backward stable: each residual is rounding
+            # relative to |H| |x|, even within 5e-8 of the crossing.
+            for z in (x, y):
+                res = np.abs(H @ z - b).max() / (abs(H).max() * np.abs(z).max())
+                assert res <= 1e-13
+            if abs(r - r_star) > 1e-3:
+                assert np.abs(x - y).max() <= 1e-10 * np.abs(y).max()
+        assert spectral.inertia(asm.h(r_star - 5e-8)) + 1 == spectral.inertia(
+            asm.h(r_star + 5e-8))
+
+    def test_a_new_pattern_replaces_the_slot(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_order", None)
+        one, two = self.oscillator_or_disc(1), self.oscillator_or_disc(2)
+        for asm in (one, two, one):
+            H = sp.csc_matrix(asm.h(0.5))
+            b = np.arange(H.shape[0], dtype=float)
+            x = spectral.factor(H).solve(b)
+            assert np.array_equal(spectral._order[0], H.indptr)
+            assert np.array_equal(spectral._order[1], H.indices)
+            assert np.abs(x - self.mmd(H).solve(b)).max() <= 1e-10 * np.abs(x).max()
 
 
 class TestSmallestEigenpairs:
