@@ -10,7 +10,7 @@ solutions at the located radii.
 from .metric import MetricModel
 from .problem import ProblemSpec, parse_field
 from .fem import Assembler, Mesh, build_mesh
-from .spectral import EigenPairs, inertia, kernel_eigenpairs
+from .spectral import inertia, kernel_eigenpairs
 from .conjugate import (
     ConjugateRadius,
     CrossingFormReport,

@@ -11,9 +11,10 @@ directory that cannot be created or an output file that cannot be
 written), 2 verification failure (index identity violated, negative
 count not monotone, crossing form not negative definite, bifurcation
 not confirmed) or numerical breakdown (an inertia factorization still
-refused after its nudged retries, a refused kernel factorization, an
-unconverged kernel eigensolve), 3 degenerate endpoint (the r = 1
-non-degeneracy assumption fails).  Each failure prints one line to
+refused after its nudged retries, a refused count of the r = 1 check,
+a refused kernel factorization, an unconverged kernel eigensolve), 3
+degenerate endpoint (the pencil (H(1), S) has an eigenvalue within
+KERNEL_THRESHOLD_AT_ONE of zero).  Each failure prints one line to
 stderr; an unconfirmed bifurcation prints one per radius, naming each
 direction's failure or intercept.
 """

@@ -36,7 +36,8 @@ Every stage that assembles takes the ``fem.Assembler`` of one problem
 first: it owns the mesh, the metric and the problem spec, so the radius
 family H(r) a stage works on is fixed by that one argument.
 ``verify_index`` assembles nothing: it reads mu = n_neg(H(1)) and the
-count at the smallest radius off a scan that ends at r = 1.
+count at the smallest radius off a scan that ends at r = 1, and
+``endpoint_kernel_gap`` checks that H(1) is non-degenerate by two counts.
 """
 
 from __future__ import annotations
@@ -311,13 +312,16 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
     factorization (see ``_bisect``).  Brackets that keep a jump >= 2
     down to the final width are genuine multiple crossings, and their
     multiplicity is the jump itself.  Kernel bases come from the
-    smallest-|lambda| eigenvectors at the final midpoint.  Brackets
-    shrink to BISECTION_TOL of the mesh dimension.
+    smallest-|lambda| eigenvectors at the final midpoint, each with
+    ||H(r*) v|| <= KERNEL_RESIDUAL_TOL max|S| ||v||_S.  Brackets shrink
+    to BISECTION_TOL of the mesh dimension.
     """
     tol = BISECTION_TOL[asm.mesh.dim]
     n_neg = _n_neg_evaluator(asm)
     keep = n_neg.keep = [None]
     S = asm.gram()
+    # Residual scale: H(r*) nearly vanishes on a one-unknown mesh, S never.
+    s_max = abs(S).max()
     start = np.random.default_rng(KERNEL_SEED).standard_normal(S.shape[0])
     x = [start]
 
@@ -336,11 +340,10 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
             m = bnhi - bnlo
             r_star = 0.5 * (blo + bhi)
             H = asm.h(r_star)
-            basis = kernel_eigenpairs(H, S, m).vectors
-            Hnorm = abs(H).max()
+            basis = kernel_eigenpairs(H, S, m)
             for j in range(m):
                 v = basis[:, j]
-                rel = np.linalg.norm(H @ v) / (Hnorm * math.sqrt(v @ (S @ v)))
+                rel = np.linalg.norm(H @ v) / (s_max * math.sqrt(v @ (S @ v)))
                 if rel > KERNEL_RESIDUAL_TOL:
                     raise VerificationError(
                         f"kernel vector residual {rel:.2e} exceeds "
@@ -440,20 +443,25 @@ def verify_crossing(asm: Assembler, conj: ConjugateRadius) -> CrossingFormReport
     )
 
 
-def endpoint_kernel_gap(asm: Assembler) -> float:
-    """|lambda| of the pencil eigenvalue of (H(1), S) nearest zero.
+def endpoint_kernel_gap(asm: Assembler) -> None:
+    """Raise ``DegenerateRadiusOneError`` unless the pencil (H(1), S)
+    has no eigenvalue in [-tau, tau), tau = KERNEL_THRESHOLD_AT_ONE.
 
-    Raises ``DegenerateRadiusOneError`` when it is below
-    KERNEL_THRESHOLD_AT_ONE: the index identity presumes no degeneracy
-    at the endpoint, and a run that violates the assumption must abort
-    rather than guess.
+    By Sylvester's law that number is n_neg(H(1) - tau S) -
+    n_neg(H(1) + tau S): two counts through the one negative count, no
+    eigensolve.  The index identity presumes no degeneracy at the
+    endpoint, and a run that violates the assumption must abort rather
+    than guess.  A refused count is raised, not nudged: the check is
+    about r = 1 itself.
     """
-    gap = float(abs(kernel_eigenpairs(asm.h(1.0), asm.gram(), 1).values[0]))
-    if gap < KERNEL_THRESHOLD_AT_ONE:
+    tau = KERNEL_THRESHOLD_AT_ONE
+    H, S = asm.h(1.0), asm.gram()
+    below, above = inertia(H - tau * S), inertia(H + tau * S)
+    if below != above:
         raise DegenerateRadiusOneError(
-            f"|lambda_min(H(1), S)| = {gap:.3e} < {KERNEL_THRESHOLD_AT_ONE}"
+            f"{below - above} eigenvalue(s) of (H(1), S) in [-{tau:g}, {tau:g}): "
+            f"n_neg(H(1) - tau S) = {below}, n_neg(H(1) + tau S) = {above}"
         )
-    return gap
 
 
 def verify_index(

@@ -18,14 +18,13 @@ of U.  Every count checks symmetry, the permutations, finite pivots and
 pivot growth, and raises ``FactorizationError`` rather than return a
 count it cannot vouch for.
 
-Kernel eigenpairs come from shift-invert block inverse iteration at
-zero, for kernel candidates near a degeneracy at any scale.  A refused
+Every integer question about the pencil (H, S) is a negative count;
+``kernel_eigenpairs`` only returns a kernel basis at a located
+degeneracy, by shift-invert block inverse iteration at zero.  A refused
 factor of H is raised, not retried at a shift.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -33,7 +32,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "EigenPairs",
     "Factor",
     "FactorizationError",
     "factor",
@@ -41,9 +39,9 @@ __all__ = [
     "kernel_eigenpairs",
 ]
 
-# Inverse iteration in ``kernel_eigenpairs``: absolute Ritz-value
-# tolerance relative to ||H||_inf, sweep limit, and the fixed seed of
-# the start block.
+# Inverse iteration in ``kernel_eigenpairs``: absolute tolerance on the
+# Ritz values (pencil eigenvalues, which carry no unit), sweep limit,
+# and the fixed seed of the start block.
 KERNEL_TOL = 1e-11
 KERNEL_MAX_SWEEPS = 60
 KERNEL_SEED = 20240801
@@ -56,14 +54,6 @@ PANEL_SIZE = 1
 
 class FactorizationError(RuntimeError):
     """A factorization could not be completed reliably."""
-
-
-@dataclass(frozen=True)
-class EigenPairs:
-    """Ascending generalized eigenvalues with S-orthonormal vectors."""
-
-    values: np.ndarray    # (k,)
-    vectors: np.ndarray   # (n, k), vectors[:, i]^T S vectors[:, j] = delta_ij
 
 
 class Factor:
@@ -176,25 +166,26 @@ def inertia(H, keep=None) -> int:
     return int(np.sum(pivots < 0.0))
 
 
-def kernel_eigenpairs(H, S, k: int) -> EigenPairs:
-    """The k smallest-|lambda| eigenpairs of (H, S) by shift-invert at 0.
+def kernel_eigenpairs(H, S, k: int) -> np.ndarray:
+    """S-orthonormal eigenvectors (n, k) of the k smallest-|lambda|
+    eigenvalues of (H, S), by shift-invert at 0, in ascending eigenvalue
+    order.
 
     Block inverse iteration with ``factor(H)`` and Rayleigh-Ritz
     extraction; deterministic through the fixed seed.  Converges in a
     few sweeps whenever the eigenvalues nearest zero are well separated
-    from the rest, which is exactly the regime it is used in (kernel
-    bases at a located degeneracy, the r = 1 degeneracy check).  A sweep
-    converges when the k Ritz values agree with the previous sweep's to
-    rtol 1e-13 or ``KERNEL_TOL * ||H||_inf``; if ``KERNEL_MAX_SWEEPS``
-    sweeps end without that, ``FactorizationError`` is raised rather than an unconverged
-    basis returned.
+    from the rest, which is exactly the regime it is used in: kernel
+    bases at a located degeneracy.  A sweep converges when the k Ritz
+    values agree with the previous sweep's to rtol 1e-13 or
+    ``KERNEL_TOL``; if ``KERNEL_MAX_SWEEPS`` sweeps end without that,
+    ``FactorizationError`` is raised rather than an unconverged basis
+    returned.
     """
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k = {k}")
     Hc = sp.csc_matrix(H)
     Sc = sp.csc_matrix(S)
-    Hnorm = spla.norm(Hc, np.inf)
     lu = factor(Hc)
 
     rng = np.random.default_rng(KERNEL_SEED)
@@ -223,7 +214,7 @@ def kernel_eigenpairs(H, S, k: int) -> EigenPairs:
         theta = theta[order]
         X = X[:, order]
         if theta_old is not None and np.allclose(
-            theta[:k], theta_old[:k], rtol=1e-13, atol=KERNEL_TOL * Hnorm
+            theta[:k], theta_old[:k], rtol=1e-13, atol=KERNEL_TOL
         ):
             break
         theta_old = theta
@@ -231,8 +222,4 @@ def kernel_eigenpairs(H, S, k: int) -> EigenPairs:
         raise FactorizationError(
             f"inverse iteration did not converge in {KERNEL_MAX_SWEEPS} sweeps"
         )
-    vals = theta[:k]
-    vecs = X[:, :k]
-    # Ascending eigenvalue order within the returned block.
-    order = np.argsort(vals, kind="stable")
-    return EigenPairs(values=vals[order], vectors=vecs[:, order])
+    return X[:, np.argsort(theta[:k], kind="stable")]

@@ -7,7 +7,8 @@ tests make on its output:
   * ``bunch_kaufman_inertia``: the negative count from the dense
     pivoted LDL^T of LAPACK ``dsytrf``, against ``spectral.inertia``;
   * ``smallest_eigenpairs``: dense generalized eigenpairs, against
-    ``spectral.kernel_eigenpairs`` and as an eigenvalue oracle;
+    ``spectral.kernel_eigenpairs`` and the r = 1 check of
+    ``conjugate.endpoint_kernel_gap``, and as an eigenvalue oracle;
   * ``pencil_crossings``: the discrete conjugate radii and their
     multiplicities of a flat metric with constant f, from one pencil
     eigensolve, against the bisection of ``conjugate``;
@@ -87,11 +88,12 @@ def bunch_kaufman_inertia(H) -> int:
     return int(np.sum(pivots < 0.0))
 
 
-def smallest_eigenpairs(H, S, k: int) -> spectral.EigenPairs:
-    """The k algebraically smallest eigenpairs of H v = lambda S v.
+def smallest_eigenpairs(H, S, k: int):
+    """(values, vectors): the k algebraically smallest eigenpairs of
+    H v = lambda S v, ascending.
 
     Dense reduction through a factorization of S; the returned vectors
-    are S-orthonormal.  For desk-scale matrices only.
+    (n, k) are S-orthonormal.  For desk-scale matrices only.
     """
     n = H.shape[0]
     if not 1 <= k <= n:
@@ -102,7 +104,7 @@ def smallest_eigenpairs(H, S, k: int) -> spectral.EigenPairs:
         vals, vecs = la.eigh(Hd, Sd, subset_by_index=[0, k - 1])
     except la.LinAlgError as exc:
         raise spectral.FactorizationError(f"generalized eigensolve failed: {exc}") from exc
-    return spectral.EigenPairs(values=vals, vectors=vecs)
+    return vals, vecs
 
 
 def pencil_crossings(asm, k, tol):
@@ -113,16 +115,21 @@ def pencil_crossings(asm, k, tol):
     singular exactly at r = sqrt(mu/-f) for every eigenvalue mu of the
     pencil S v = mu M v.  The k smallest mu come from one shift-invert
     eigensolve and must reach past r = 1, so that no crossing is missed;
-    radii closer than ``tol`` form one crossing, whose multiplicity is
+    with k >= n unknowns, all n come from one dense eigensolve instead.
+    Radii closer than ``tol`` form one crossing, whose multiplicity is
     their number.  Returns [(r, m)] ascending.
     """
-    f = asm.spec.f
-    if asm.metric.kappa != 0.0 or callable(f) or not f < 0.0:
+    f = asm.spec.f_constant
+    if asm.metric.kappa != 0.0 or f is None or not f < 0.0:
         raise ValueError("the pencil needs a flat metric and a constant f < 0")
     S = asm.gram()
-    mu = spla.eigsh(S, k, (asm.h(1.0) - S) / f, sigma=0.0, return_eigenvectors=False)
+    M = (asm.h(1.0) - S) / f
+    if k < S.shape[0]:
+        mu = spla.eigsh(S, k, M, sigma=0.0, return_eigenvectors=False)
+    else:
+        mu = la.eigh(S.toarray(), M.toarray(), eigvals_only=True)
     radii = np.sort(np.sqrt(mu / -f))
-    if radii[-1] <= 1.0:
+    if len(radii) < S.shape[0] and radii[-1] <= 1.0:
         raise ValueError(f"the {k} smallest pencil radii do not reach past r = 1")
     clusters = []
     for r in radii[radii <= 1.0]:

@@ -9,6 +9,8 @@ import scipy.sparse.linalg as spla
 
 from smalescan import branch, cli, conjugate, problem, spectral
 
+import reference
+
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
 
@@ -206,22 +208,29 @@ class TestRun:
         assert text.splitlines()[0] == "mu=4 sum_m=4 PASS"
         assert "corollary_bound=4" in text
 
-    def test_verify_index_solves_the_r1_kernel_once(self, config_file, tmp_path,
-                                                    monkeypatch):
-        # One kernel eigensolve per located radius plus the r = 1 guard.
-        calls = []
-        solve = conjugate.kernel_eigenpairs
+    def test_verify_index_solves_one_kernel_per_radius(self, config_file, tmp_path,
+                                                       monkeypatch):
+        # One kernel eigensolve per located radius; the r = 1 check only counts.
+        calls, at_one = [], []
+        solve, check = conjugate.kernel_eigenpairs, conjugate.endpoint_kernel_gap
 
         def counted(H, S, k):
             calls.append(k)
             return solve(H, S, k)
 
+        def checked(asm):
+            before = len(calls)
+            check(asm)
+            at_one.append(len(calls) - before)
+
         monkeypatch.setattr(conjugate, "kernel_eigenpairs", counted)
+        monkeypatch.setattr(conjugate, "endpoint_kernel_gap", checked)
         out = tmp_path / "o"
         assert cli.run("verify-index", config_file, out_dir=out) == cli.EXIT_OK
         located = (out / "index_report.txt").read_text().count("r_star=")
         assert located == 4
-        assert len(calls) == located + 1
+        assert calls == [1] * located
+        assert at_one == [0]
 
     def test_bifurcate_writes_branches(self, config_file, tmp_path):
         out = tmp_path / "o"
@@ -370,6 +379,37 @@ class TestRun:
         assert cli.run("scan", path, out_dir=out) == cli.EXIT_OK
         assert (out / "nodes.csv").is_file()
         assert (out / "elements.csv").is_file()
+
+    @pytest.mark.parametrize("dim, resolution, f", [(1, 200, "5"), (2, 10, "-1")],
+                             ids=["1d_f5", "disc_f-1"])
+    def test_clustered_spectrum_at_one_passes(self, tmp_path, capsys, dim, resolution, f):
+        # The pencil eigenvalues of (H(1), S) nearest zero cluster (1.00004
+        # in 1D; 0.828, 0.933, 0.933 on the disc), far from degenerate.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"problem.f = {f}\nmesh.dim = {dim}\n"
+                        f"mesh.resolution = {resolution}\n")
+        out = tmp_path / "o"
+        code = cli.main(["verify-index", "--config", str(path), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (cli.EXIT_OK, "")
+        assert (out / "index_report.txt").read_text().startswith("mu=0 sum_m=0 PASS\n")
+
+    @pytest.mark.parametrize("dim, resolution", [(1, 2), (2, 1)])
+    def test_one_unknown_mesh_locates_its_radius(self, tmp_path, capsys, dim, resolution):
+        # H(r*) vanishes on a one-unknown mesh, so its kernel residual is
+        # scaled by S.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"problem.f = -36\nmesh.dim = {dim}\n"
+                        f"mesh.resolution = {resolution}\n")
+        out = tmp_path / "o"
+        code = cli.main(["conjugate", "--config", str(path), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (cli.EXIT_OK, "")
+        rows = [line.split(",") for line in
+                (out / "conjugate.csv").read_text().splitlines()[1:]]
+        asm = cli.Pipeline(cli.load_config(path), out).assembler
+        tol = conjugate.BISECTION_TOL[dim]
+        exact = reference.pencil_crossings(asm, 8, tol)
+        assert [int(m) for _, m, _ in rows] == [m for _, m in exact] == [1]
+        assert abs(float(rows[0][0]) - exact[0][0]) <= tol
 
     def test_degenerate_endpoint_exits_3(self, tmp_path):
         path = tmp_path / "deg.cfg"

@@ -7,7 +7,7 @@ from scipy.special import jn_zeros
 from smalescan import branch, conjugate, fem, metric, problem
 from smalescan.fem import Assembler
 
-from reference import pencil_crossings
+from reference import pencil_crossings, smallest_eigenpairs
 
 C_OSC = (2.3 * np.pi) ** 2
 
@@ -345,9 +345,29 @@ class TestVerifyIndex:
             conjugate.verify_index(short, conjs)
 
     def test_endpoint_gap_clean_case(self, osc_1d):
-        asm = osc_1d
-        gap = conjugate.endpoint_kernel_gap(asm)
-        assert gap > 1e-3
+        assert conjugate.endpoint_kernel_gap(osc_1d) is None
+
+    @pytest.mark.parametrize("dim, resolution, f, inside", [
+        (1, 60, -5.0, 1),    # nearest eigenvalue 0.494
+        (2, 6, -30.0, 2),    # nearest eigenvalue -0.0679, a double one
+    ], ids=["1d", "disc"])
+    def test_endpoint_count_matches_dense_eigenvalues(self, monkeypatch,
+                                                      dim, resolution, f, inside):
+        # The two counts give the number of pencil eigenvalues of
+        # (H(1), S) in [-tau, tau): none just below the |lambda| nearest
+        # zero, every eigenvalue at that distance just above it.
+        asm = Assembler(fem.build_mesh(dim, resolution), metric.MetricModel(),
+                        problem.ProblemSpec(f))
+        H, S = asm.h(1.0), asm.gram()
+        lams, _ = smallest_eigenpairs(H, S, H.shape[0])
+        gap = np.min(np.abs(lams))
+        assert np.sum(np.abs(lams) < 1.001 * gap) == inside
+        monkeypatch.setattr(conjugate, "KERNEL_THRESHOLD_AT_ONE", 0.999 * gap)
+        assert conjugate.endpoint_kernel_gap(asm) is None
+        monkeypatch.setattr(conjugate, "KERNEL_THRESHOLD_AT_ONE", 1.001 * gap)
+        with pytest.raises(conjugate.DegenerateRadiusOneError,
+                           match=rf"^{inside} eigenvalue"):
+            conjugate.endpoint_kernel_gap(asm)
 
 
 def test_disc_full_pipeline_small():
