@@ -100,7 +100,7 @@ def newton_solve(
     if u.shape != (S.shape[0],):
         raise ValueError(f"u0 has shape {u.shape}, expected ({S.shape[0]},)")
 
-    tol_abs = NEWTON_TOL * (1.0 + abs(S).max())
+    tol_abs = NEWTON_TOL * (1.0 + np.abs(S.data).max())
 
     def done(u, rnorm):
         return rnorm <= tol_abs * min(1.0, max(_h1_norm(S, u), TRIVIAL_NORM))

@@ -321,7 +321,7 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
     keep = n_neg.keep = [None]
     S = asm.gram()
     # Residual scale: H(r*) nearly vanishes on a one-unknown mesh, S never.
-    s_max = abs(S).max()
+    s_max = np.abs(S.data).max()
     start = np.random.default_rng(KERNEL_SEED).standard_normal(S.shape[0])
     x = [start]
 

@@ -20,14 +20,17 @@ Quadrature: the gradient terms use the midpoint rule (1D) and the
 the cubic nonlinearity of P1 functions exactly in 1D and near-exactly
 in 2D.
 
-Assembly: the interior CSR pattern, the slot in it of every element
-entry and its transpose permutation are built once per mesh, and so are
-the stiffness projectors G G^T and (G e)(G e)^T of every element and
+Assembly: the interior pattern, the slot in it of every element entry
+and its transpose permutation are built once per mesh, and so are the
+stiffness projectors G G^T and (G e)(G e)^T of every element and
 gradient point and the table of distinct quadrature radii |x|.  Every
 form is then the metric's radial profiles, evaluated once per distinct
 r|x| and gathered, two element kernels (weighted sums of the stiffness
 projectors; the weighted mass values times a fixed phi_i phi_j table)
 and one ``np.bincount`` scatter into that pattern; see ``Assembler``.
+The matrices are returned as exactly symmetric ``scipy.sparse``
+``csc_matrix`` objects, the format the factorizations of ``spectral``
+read without a transposition.
 """
 
 from __future__ import annotations
@@ -206,10 +209,10 @@ class Assembler:
     """Caches mesh geometry, quadrature data and the interior scatter.
 
     Per mesh, once: element gradients G_t, quadrature points x, the
-    interior CSR pattern (the pairs of interior nodes sharing an element,
-    rows and columns sorted), the slot in its ``data`` of every element
-    entry, the permutation mapping ``data`` onto that of the transpose,
-    the stiffness projectors
+    interior pattern (the pairs of interior nodes sharing an element,
+    indices sorted; symmetric, so its CSR and CSC arrays are the same),
+    the slot in its ``data`` of every element entry, the permutation
+    mapping ``data`` onto that of the transpose, the stiffness projectors
 
         P1_t = G_t G_t^T,   P2_tq = (G_t e_q)(G_t e_q)^T   (e = x/|x|, 0 at x = 0),
 
@@ -229,15 +232,20 @@ class Assembler:
     rows to a vector extended by zero.  A flat metric (w = a = 1) gives
     K_t = (sum_q gw) P1_t, the Gram matrix's kernel, bit for bit.  A matrix is
     one ``np.bincount`` into the slots followed by 0.5 (d + d[transpose]),
-    which is exactly symmetric.  The mass and nonlinear terms read only w
-    from the metric.
+    which is exactly symmetric, returned as a ``csc_matrix`` on the
+    pattern's arrays.  The mass and nonlinear terms read only w from the
+    metric.
 
-    The r-only data (K_t, mass_w w and f at the mass points) of the last
-    radius sits in one slot, a tuple ``(r, K, mass_w w, f)``: Newton
-    continuation calls ``residual`` and ``jacobian`` many times at one r,
-    and they recompute it only on a new r.  The slot is read once and
-    replaced as a whole tuple, never mutated, and its arrays are read
-    only, so concurrent ``h`` calls at different radii each compute
+    The r-only data of the last radius sits in one slot, a tuple
+    ``(r, w, a, K, mass_w w, f)``: the profiles at the distinct radii,
+    K_t, and mass_w w and f at the mass points.  Newton continuation
+    calls ``residual`` and ``jacobian`` many times at one r, and they
+    recompute nothing on a repeat of r.  A new r evaluates the profiles
+    once; if they equal the slot's exactly (a flat metric gives w = a = 1
+    at every r), K_t and mass_w w are kept, and so is f when it is
+    constant, since they would be rebuilt bit for bit.  The slot is read
+    once and replaced as a whole tuple, never mutated, and its arrays are
+    read only, so concurrent ``h`` calls at different radii each compute
     from a consistent tuple; a race costs at most a recomputation.
     """
 
@@ -274,7 +282,7 @@ class Assembler:
         self._P2 = (Ge[:, :, :, None] * Ge[:, :, None, :]).reshape(ne, qg, -1)
         self._S = self._scatter(self.grad_w.sum(axis=1)[:, None] * self._P1)
         self._lu_S = None
-        self._at_r = None  # (r, K, mass_w w, f) of the last radius
+        self._at_r = None  # (r, w, a, K, mass_w w, f) of the last radius
 
     # -- geometry -----------------------------------------------------------
 
@@ -313,7 +321,7 @@ class Assembler:
         self.mass_phi = _TRI7_BARY.T                       # (3, 7)
 
     def _setup_scatter(self):
-        """Interior CSR pattern, element-entry slots, transpose permutation.
+        """Interior pattern, element-entry slots, transpose permutation.
 
         Entry (t, i, j) of the flattened element matrices goes to slot
         ``_slot[t * nv * nv + i * nv + j]`` of ``data``; entries touching
@@ -345,53 +353,60 @@ class Assembler:
         w, a = metric_mod.coefficients(self.metric, r * self._radii, self.mesh.dim)
         return w[self._radius_of], a[self._radius_of[:, :qg]]
 
-    def _stiffness(self, r: float):
-        """Element stiffness K_t at scale r, and w at the mass points from
-        the same evaluation of the profiles."""
-        qg = self.grad_w.shape[1]
-        w, ag = self._profiles(r)
-        wg = w[:, :qg]
-        # A = a I + (w - a) e e^T, so G A G^T splits over the projectors;
-        # when w = a = 1 the second sum is exactly 0 and K_t the Gram kernel.
-        K = (self.grad_w * ag).sum(axis=1)[:, None] * self._P1
-        K += np.einsum("tq,tqk->tk", self.grad_w * (wg - ag), self._P2)
-        return K, w[:, qg:]
-
-    def _mass_data(self, r: float, w: np.ndarray):
-        """Quadrature weight * w and f(r x) at the mass points; the points
-        r x are built only for an f that depends on them."""
+    def _f_values(self, r: float):
+        """f(r x) at the mass points; the points r x are built only for an
+        f that depends on them."""
         ne, qm, d = self.mass_pts.shape
         c = self.spec.f_constant
         if c is None:
-            fq = self.spec.f_values((r * self.mass_pts).reshape(-1, d)).reshape(ne, qm)
-        else:
-            fq = np.full((ne, qm), c)
-        return self.mass_w * w, fq
+            return self.spec.f_values((r * self.mass_pts).reshape(-1, d)).reshape(ne, qm)
+        return np.full((ne, qm), c)
 
     def _r_data(self, r: float):
         """(K, mass_w w, f) at r, from the slot when r is the last radius;
-        every form checks r here."""
+        every form checks r here.  A new r whose profiles equal the slot's
+        keeps its K and mass_w w, and its f when f is constant."""
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"scale parameter r = {r} outside [0, 1]")
         slot = self._at_r
-        if slot is None or slot[0] != r:
-            # Release the old radius's data first: kept while the new is
-            # built, it would raise peak memory by one slot.
-            slot = self._at_r = None
-            K, w = self._stiffness(r)
-            wq, fq = self._mass_data(r, w)
-            for a in (K, wq, fq):
-                a.flags.writeable = False
-            slot = (r, K, wq, fq)
-            self._at_r = slot
-        return slot[1:]
+        if slot is not None and slot[0] == r:
+            return slot[3:]
+        w, a = metric_mod.coefficients(self.metric, r * self._radii, self.mesh.dim)
+        K = wq = fq = None
+        if slot is not None and np.array_equal(slot[1], w) and np.array_equal(slot[2], a):
+            # Equal profiles give equal K and mass_w w, bit for bit: a flat
+            # metric (w = a = 1) does so at every r.
+            K, wq = slot[3:5]
+            if self.spec.f_constant is not None:
+                fq = slot[5]
+        # Release the old radius's data first: kept while the new is
+        # built, it would raise peak memory by one slot.
+        slot = self._at_r = None
+        if K is None:
+            qg = self.grad_w.shape[1]
+            wp, ag = w[self._radius_of], a[self._radius_of[:, :qg]]
+            wg = wp[:, :qg]
+            # A = a I + (w - a) e e^T, so G A G^T splits over the projectors;
+            # when w = a = 1 the second sum is exactly 0 and K_t the Gram kernel.
+            K = (self.grad_w * ag).sum(axis=1)[:, None] * self._P1
+            K += np.einsum("tq,tqk->tk", self.grad_w * (wg - ag), self._P2)
+            wq = self.mass_w * wp[:, qg:]
+        if fq is None:
+            fq = self._f_values(r)
+        for arr in (w, a, K, wq, fq):
+            arr.flags.writeable = False
+        slot = (r, w, a, K, wq, fq)
+        self._at_r = slot
+        return slot[3:]
 
-    def _scatter(self, elem_mats: np.ndarray) -> sp.csr_matrix:
+    def _scatter(self, elem_mats: np.ndarray) -> sp.csc_matrix:
         nnz = self._indices.size
         d = np.bincount(self._slot, weights=elem_mats.ravel(), minlength=nnz + 1)[:nnz]
         d = 0.5 * (d + d[self._transpose])
         n = self.mesh.n_interior
-        return sp.csr_matrix(
+        # Symmetric values on a symmetric pattern: the CSR arrays are also
+        # the CSC arrays of the same matrix.
+        return sp.csc_matrix(
             (d, self._indices.copy(), self._indptr.copy()), shape=(n, n)
         )
 
@@ -404,7 +419,7 @@ class Assembler:
 
     # -- public assembly ------------------------------------------------------
 
-    def gram(self) -> sp.csr_matrix:
+    def gram(self) -> sp.csc_matrix:
         return self._S
 
     def gram_lu(self):
@@ -417,7 +432,7 @@ class Assembler:
         K, wq, fq = self._r_data(r)
         return K + r * r * ((wq * fq) @ self._phi2)
 
-    def h(self, r: float) -> sp.csr_matrix:
+    def h(self, r: float) -> sp.csc_matrix:
         return self._scatter(self._h_elements(r))
 
     def boundary_flux(self, r: float, V: np.ndarray) -> np.ndarray:
@@ -433,7 +448,7 @@ class Assembler:
         np.add.at(sigma, self.mesh.elements.ravel(), Fe.reshape(ne * nv, -1))
         return sigma[self.mesh.boundary_nodes]
 
-    def jacobian(self, r: float, u: np.ndarray) -> sp.csr_matrix:
+    def jacobian(self, r: float, u: np.ndarray) -> sp.csc_matrix:
         _, uq = self._element_values(u)
         K, wq, fq = self._r_data(r)
         cq = self.spec.dv_values(fq, uq)

@@ -6,17 +6,22 @@ ordering, and raises ``FactorizationError`` when SuperLU refuses.  The
 negative count, the kernel eigensolve, the Gram solve and the Newton
 step all use it.  Every matrix of one mesh shares one sparsity pattern,
 so the fill-reducing ordering (SuperLU's minimum degree on H + H^T) is
-found once per pattern and kept; each factorization then gathers the
-values into the permuted pattern and factors it in natural order.
+found once per pattern and kept, with the pattern's transpose map (the
+``data`` index of every entry's mirror); each factorization then
+gathers the values into the permuted pattern and factors it in natural
+order.  A matrix already in CSC form, as ``fem.Assembler`` returns it,
+is factored without a transposition or copy.
 
 The negative count n_neg(H) is the number of negative pivots of that
 factorization (Sylvester's law of inertia), counted strictly by sign:
 a tolerance band around zero would bias every radius located by
 bisection on the count by the band width.  When the row and column
 permutations agree the factor is P^T H P = L D L^T with D the diagonal
-of U.  Every count checks symmetry, the permutations, finite pivots and
-pivot growth, and raises ``FactorizationError`` rather than return a
-count it cannot vouch for.
+of U.  Every count first checks symmetry, as max |d - d[transpose]|
+over the values d with that map, and raises ``ValueError`` on an
+asymmetric matrix before anything is factored.  It then checks the
+permutations, finite pivots and pivot growth, and raises
+``FactorizationError`` rather than return a count it cannot vouch for.
 
 Every integer question about the pencil (H, S) is a negative count;
 ``kernel_eigenpairs`` only returns a kernel basis at a located
@@ -84,12 +89,34 @@ def _splu(A, permc_spec: str):
         raise FactorizationError(f"sparse factorization failed: {exc}") from exc
 
 
+def _csc(H) -> sp.csc_matrix:
+    """H as a float CSC matrix with sorted indices and no duplicates, as
+    the gather and the transpose map need; a ``csc_matrix`` of that kind
+    is used as it is, without a copy."""
+    A = sp.csc_matrix(H, dtype=float)
+    A.sum_duplicates()
+    return A
+
+
+def _transpose_map(A: sp.csc_matrix) -> np.ndarray:
+    """Index in A's ``data`` of the mirror (j, i) of every entry (i, j),
+    or nnz where the mirror is absent from the pattern."""
+    n = A.shape[0]
+    col = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
+    key = col * n + A.indices        # ascending: canonical CSC
+    mirror = A.indices.astype(np.int64) * n + col
+    k = np.minimum(np.searchsorted(key, mirror), max(A.nnz - 1, 0))
+    return np.where(key[k] == mirror, k, A.nnz)
+
+
 def _pattern_order(A: sp.csc_matrix):
-    """Fill-reducing order of A's pattern and the permuted pattern.
+    """A's pattern, its fill-reducing order, the permuted pattern and
+    A's transpose map.
 
     The order is the column order of SuperLU's ``MMD_AT_PLUS_A`` factor
     of A itself; ``gather`` maps A's ``data`` onto that of P^T A P.
     """
+    transpose = _transpose_map(A)
     p = np.argsort(_splu(A, "MMD_AT_PLUS_A").perm_c)
     # Entry k of A carries the value k + 1 (never zero, so never dropped)
     # through the permutation.
@@ -99,37 +126,50 @@ def _pattern_order(A: sp.csc_matrix):
     B = sp.csc_matrix(slots[p][:, p])
     B.sort_indices()
     gather = B.data.astype(np.int64) - 1
-    return A.indptr.copy(), A.indices.copy(), p, B.indptr, B.indices, gather
+    return A.indptr.copy(), A.indices.copy(), p, B.indptr, B.indices, gather, transpose
 
 
-# Pattern of the last matrix factored and its order, as returned by
-# ``_pattern_order``.  Read once per call and replaced as a whole tuple,
-# so concurrent factorizations race at most into a recomputation.  The
-# order depends on the pattern alone and every factor is made in
-# natural order on the permuted matrix, so no factor depends on what
-# the slot held before.
+# Pattern of the last matrix factored, its order and its transpose map,
+# as returned by ``_pattern_order``.  Read once per call and replaced as
+# a whole tuple, so concurrent factorizations race at most into a
+# recomputation.  The order depends on the pattern alone and every
+# factor is made in natural order on the permuted matrix, so no factor
+# depends on what the slot held before.
 _order = None
+
+
+def _held(A: sp.csc_matrix):
+    """The slot if it holds A's pattern (compared exactly), else None."""
+    slot = _order
+    if (slot is not None and np.array_equal(slot[0], A.indptr)
+            and np.array_equal(slot[1], A.indices)):
+        return slot
+    return None
 
 
 def factor(H) -> Factor:
     """SuperLU factor of H with diagonal pivots in a fill-reducing order.
 
     ``H`` is any square matrix, dense or sparse; it is factorized as a
-    CSC matrix.  The order is SuperLU's minimum degree on H + H^T,
-    found on the first matrix of a sparsity pattern and reused while
-    the pattern (``indptr`` and ``indices``, compared exactly) repeats;
-    the permuted matrix is factored in natural order.  A refusal raises
-    ``FactorizationError``.
+    CSC matrix, and a float ``csc_matrix`` (as ``fem.Assembler`` returns)
+    is read without a copy.  The order is SuperLU's minimum degree on
+    H + H^T, found on the first matrix of a sparsity pattern and reused
+    while the pattern (``indptr`` and ``indices``, compared exactly)
+    repeats; the permuted matrix is factored in natural order.  A
+    refusal raises ``FactorizationError``.
     """
+    A = _csc(H)
+    return _factor(A, _held(A))
+
+
+def _factor(A: sp.csc_matrix, slot) -> Factor:
+    """``factor`` of A, a matrix from ``_csc``, with ``slot`` as
+    ``_held(A)`` returned it; None makes and holds the slot of A's
+    pattern."""
     global _order
-    A = sp.csc_matrix(H)
-    A.sum_duplicates()  # the gather needs one entry per position
-    slot = _order
-    if slot is None or not (
-        np.array_equal(slot[0], A.indptr) and np.array_equal(slot[1], A.indices)
-    ):
+    if slot is None:
         slot = _order = _pattern_order(A)
-    _, _, p, indptr, indices, gather = slot
+    _, _, p, indptr, indices, gather, _ = slot
     B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
     return Factor(_splu(B, "NATURAL"), p)
 
@@ -137,26 +177,32 @@ def factor(H) -> Factor:
 def inertia(H, keep=None) -> int:
     """Negative count n_neg(H) of a symmetric matrix: pivots below zero.
 
-    SuperLU leaves the diagonal only on an exactly zero pivot, which
-    shows as perm_r != perm_c; that, a singular factor, pivot growth
-    beyond 1e12 max(max|H|, 1) and non-finite pivots are raised, never
-    counted (see the module docstring).  ``keep``, a one-element list,
-    receives the factor of a count, for further solves with H.
+    H is refused with ``ValueError`` before any factorization unless
+    max |H_ij - H_ji| <= 1e-12 max|H|, read from the pattern's transpose
+    map (kept with its order; an absent mirror reads as 0).  SuperLU
+    leaves the diagonal only on an exactly zero pivot, which shows as
+    perm_r != perm_c; that, a singular factor, pivot growth beyond
+    1e12 max(max|H|, 1) and non-finite pivots are raised, never counted
+    (see the module docstring).  ``keep``, a one-element list, receives
+    the factor of a count, for further solves with H.
     """
     if H.shape[0] != H.shape[1]:
         raise ValueError("inertia requires a square matrix")
-    Hc = sp.csc_matrix(H, dtype=float)
-    scale = float(np.max(np.abs(Hc.data))) if Hc.nnz else 0.0
+    A = _csc(H)
+    d = A.data
+    scale = float(max(d.max(), -d.min())) if A.nnz else 0.0
     if scale == 0.0:
         return 0
-    if abs(Hc - Hc.T).max() > 1e-12 * scale:
+    slot = _held(A)
+    transpose = _transpose_map(A) if slot is None else slot[6]
+    if np.abs(d - np.append(d, 0.0)[transpose]).max() > 1e-12 * scale:
         raise ValueError("inertia requires a symmetric matrix")
-    F = factor(Hc)
+    F = _factor(A, slot)
     lu = F.lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FactorizationError("zero diagonal pivot: row and column orders differ")
     U = lu.U
-    if U.nnz and np.max(np.abs(U.data)) > 1e12 * max(scale, 1.0):
+    if U.nnz and max(U.data.max(), -U.data.min()) > 1e12 * max(scale, 1.0):
         raise FactorizationError("pivot growth in sparse factorization")
     pivots = U.diagonal()
     if not np.all(np.isfinite(pivots)):

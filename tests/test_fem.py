@@ -119,11 +119,16 @@ class TestAssembleH:
         assert np.allclose(H.toarray(), expect, atol=1e-13)
 
     def test_symmetry(self):
+        # Every form is exactly symmetric and returned in CSC, the format
+        # spectral factors without a transposition.
         mesh = fem.build_mesh(2, 6)
-        H = fem.Assembler(mesh, metric.MetricModel(1.0),
-                          problem.ProblemSpec(-9.0)).h(0.7)
-        diff = (H - H.T).toarray()
-        assert np.max(np.abs(diff)) == 0.0
+        asm = fem.Assembler(mesh, metric.MetricModel(1.0),
+                            problem.ProblemSpec(-9.0, 1.5))
+        u = np.random.default_rng(4).standard_normal(mesh.n_interior)
+        for H in (asm.h(0.7), asm.gram(), asm.jacobian(0.7, u)):
+            assert H.format == "csc"
+            assert (H != H.T).nnz == 0
+            assert np.max(np.abs((H - H.T).toarray())) == 0.0
 
     def test_curved_h_is_rotation_invariant(self):
         # Rotation by 60 degrees maps the polar-ring mesh onto itself
@@ -300,15 +305,19 @@ def test_profiles_read_from_distinct_radii(dim, res, kappa, r):
     assert np.array_equal(a, a_ref[:, :asm.grad_pts.shape[1]])
 
 
-@pytest.mark.parametrize("dim,res,kappa", [(1, 40, 0.0), (2, 6, 1.0)],
-                         ids=["1d-40", "cap-6"])
-def test_radius_slot_matches_fresh_assembler(dim, res, kappa):
+@pytest.mark.parametrize("dim,res,kappa,f", [
+    (1, 40, 0.0, "3*r2 - 20"), (2, 6, 1.0, "3*r2 - 20"), (2, 6, 0.0, "-36"),
+    (1, 40, 1.0, "-36"),
+], ids=["1d-40", "cap-6", "disc-6-flat", "1d-40-curved"])
+def test_radius_slot_matches_fresh_assembler(dim, res, kappa, f):
     # Interleaved radii reuse and replace the slot of the last radius;
-    # every form must equal a fresh assembler's bit for bit.  The
-    # potential varies in x, since the 1D stiffness is the same at every r.
+    # every form must equal a fresh assembler's bit for bit.  A flat
+    # metric repeats its profiles at every r, so the slot keeps its K,
+    # and its f values too when f is constant; a curved one rebuilds,
+    # also in 1D, where w = 1 at every r and only a changes.
     mesh = fem.build_mesh(dim, res)
     met = metric.MetricModel(kappa)
-    spec = problem.ProblemSpec(problem.parse_field("3*r2 - 20", dim), 1.5)
+    spec = problem.ProblemSpec(problem.parse_field(f, dim), 1.5)
     asm = fem.Assembler(mesh, met, spec)
     u = 0.5 * np.random.default_rng(12).standard_normal(mesh.n_interior)
     zero = np.zeros(mesh.n_interior)
@@ -325,36 +334,43 @@ def test_radius_slot_matches_fresh_assembler(dim, res, kappa):
                 assert np.array_equal(got.data, want.data)
             assert np.array_equal(asm.residual(r, u), fresh().residual(r, u))
         assert np.max(np.abs((asm.jacobian(r, zero) - asm.h(r)).toarray())) == 0.0
+    K1, _, f1 = asm._r_data(0.37)
+    K2, _, f2 = asm._r_data(0.81)
+    assert (K1 is K2) == (kappa == 0.0)
+    assert (f1 is f2) == (kappa == 0.0 and spec.f_constant is not None)
 
 
 def test_concurrent_h_at_interleaved_radii():
     # Threads calling h at different radii share the slot; a torn read
-    # (r of one radius, data of another) would change some matrix.
+    # (r of one radius, data of another) would change some matrix.  The
+    # curved metric rebuilds the slot at every new radius; the flat one
+    # keeps its K (and, with a constant f, its f values) across radii.
     mesh = fem.build_mesh(2, 6)
-    asm = fem.Assembler(mesh, metric.MetricModel(1.0),
-                        problem.ProblemSpec(problem.parse_field("3*r2 - 20", 2), 1.5))
-    radii = (0.2, 0.5, 0.8)
-    want = {r: asm.h(r).data.copy() for r in radii}
-    bad = []
+    for kappa, f in ((1.0, "3*r2 - 20"), (0.0, "3*r2 - 20"), (0.0, "-36")):
+        spec = problem.ProblemSpec(problem.parse_field(f, 2), 1.5)
+        asm = fem.Assembler(mesh, metric.MetricModel(kappa), spec)
+        radii = (0.2, 0.5, 0.8)
+        want = {r: fem.Assembler(mesh, asm.metric, spec).h(r).data for r in radii}
+        bad = []
 
-    def worker(k):
-        for i in range(60):
-            r = radii[(i + k) % len(radii)]
-            if not np.array_equal(asm.h(r).data, want[r]):
-                bad.append(r)
+        def worker(k):
+            for i in range(60):
+                r = radii[(i + k) % len(radii)]
+                if not np.array_equal(asm.h(r).data, want[r]):
+                    bad.append(r)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert bad == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == [], (kappa, f)
 
 
 def test_1d_eigenvalue_convergence_is_second_order():

@@ -105,6 +105,48 @@ class TestInertia:
         with pytest.raises(spectral.FactorizationError):
             spectral.inertia(H)
 
+    def test_held_pattern_refuses_asymmetry_before_factoring(self, monkeypatch):
+        # After one count the order and transpose map of H's pattern are
+        # held; an asymmetric matrix on that pattern, or one whose entry
+        # has no mirror in it, is refused without reaching SuperLU.
+        asm = fem.Assembler(fem.build_mesh(2, 6), metric.MetricModel(),
+                            problem.ProblemSpec(-36.0))
+        H = asm.h(0.5)
+        i, j = 3, int(H.indices[H.indptr[3]])  # first entry of column 3: (j, 3)
+        assert j < i
+        # The same values without the entry (3, j): its mirror (j, 3)
+        # is stored as an explicit zero, so the matrix stays symmetric.
+        C = H.tocoo(copy=True)
+        drop = (C.row == i) & (C.col == j)
+        C.data[(C.row == j) & (C.col == i)] = 0.0
+        lone = sp.csc_matrix((C.data[~drop], (C.row[~drop], C.col[~drop])),
+                             shape=H.shape)
+        assert lone.nnz == H.nnz - 1
+        monkeypatch.setattr(spectral, "_order", None)
+        for M in (H, lone):
+            n = spectral.inertia(M)
+            slot = spectral._order
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("factorized an asymmetric matrix")
+
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_splu", refuse)
+                bad = M.copy()
+                bad.data[bad.indptr[i]] += 1e-9 * abs(H).max()  # entry (j, 3)
+                with pytest.raises(ValueError, match="symmetric"):
+                    spectral.inertia(bad)
+                assert spectral._order is slot  # the held pattern was read
+            assert spectral.inertia(M) == n
+
+    def test_csr_and_csc_forms_count_alike(self):
+        asm = fem.Assembler(fem.build_mesh(1, 200), metric.MetricModel(),
+                            problem.ProblemSpec(-(2.3 * np.pi) ** 2))
+        for r in (0.1, 0.5, 0.9):
+            H = asm.h(r)
+            assert spectral.inertia(H.tocsr()) == spectral.inertia(H) == (
+                reference.bunch_kaufman_inertia(H.toarray()))
+
 
 class TestFactorOrder:
     """``factor`` keeps the MMD order of the last sparsity pattern."""
