@@ -14,8 +14,9 @@ probe's own count made, so the probes home in on the crossing while
 every one of them is still a certified count.
 
 The crossing form on the kernel at r* is computed two independent
-ways: as the central difference of the assembled bilinear form in r
-(the precision anchor), and as the boundary integral
+ways: as the r-derivative of the assembled bilinear form, taken by one
+complex-step assembly (the precision anchor), and as the boundary
+integral
 
     Gamma(u, v) = -(1/r*) int_{dB} <grad u, x> <grad v, x> <A(r* x) x, x> dS
 
@@ -358,45 +359,23 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
 
 
 def crossing_form_fd(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
-    """Crossing form on the kernel by central differencing of H(r).
+    """Crossing form on the kernel, V^T H'(r*) V, by a complex step in r.
 
-    Gamma_ij = (u_i^T H(r*+d) u_j - u_i^T H(r*-d) u_j) / (2 d), with the
-    step d = 1e-4 r*.  H(r) is defined on [0, 1] only, so when
-    r* + d > 1 the second-order backward stencil
-    (3 H(r*) - 4 H(r*-d) + H(r*-2d)) / (2 d) takes its place.  A
-    Richardson audit at d/2 must agree to 1 percent; for forms
-    polynomial of degree <= 2 in r both stencils are exact and the
-    audit is trivially satisfied.
+    Gamma = Im(V^T H(r* + i eps) V) / eps with eps = 1e-20 r*: one
+    assembly at a complex radius, with no subtraction, so H'(r*) is
+    exact to rounding (Squire & Trapp 1998), also at r* = 1.
+    Symmetrized, so exactly symmetric.
     """
     r0 = conj.r_star
-    delta = 1e-4 * r0
+    eps = 1e-20 * r0
     V = conj.kernel_basis
-
-    def q(r):
-        return V.T @ (asm.h(r) @ V)
-
-    def gamma(d):
-        if r0 + d <= 1.0:
-            G = (q(r0 + d) - q(r0 - d)) / (2.0 * d)
-        else:
-            G = (3.0 * q(r0) - 4.0 * q(r0 - d) + q(r0 - 2.0 * d)) / (2.0 * d)
-        return 0.5 * (G + G.T)
-
-    G = gamma(delta)
-    G_half = gamma(0.5 * delta)
-    denom = np.linalg.norm(G_half, "fro")
-    if denom > 0.0:
-        discrepancy = np.linalg.norm(G - G_half, "fro") / denom
-        if discrepancy > 0.01:
-            raise VerificationError(
-                f"finite-difference step audit failed at r* = {r0}: "
-                f"delta vs delta/2 discrepancy {discrepancy:.2e}"
-            )
-    return G
+    G = (V.T @ (asm.h(r0 + 1j * eps) @ V)).imag / eps
+    return 0.5 * (G + G.T)
 
 
 def crossing_form_boundary(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
-    """Crossing form by the boundary integral, independent of the fd route.
+    """Crossing form by the boundary integral, independent of the
+    r-derivative route.
 
     G = -(1/(r* w(r*))) sum_b sigma_b sigma_b^T / m_b, with sigma the
     discrete boundary flux of the kernel columns at r* (sigma_b / m_b
@@ -415,7 +394,9 @@ def crossing_form_boundary(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:
 def verify_crossing(asm: Assembler, conj: ConjugateRadius) -> CrossingFormReport:
     """Both crossing forms, definiteness check and the agreement figure.
 
-    The fd form must be negative definite; its signature is then -m and
+    ``gamma_fd`` is the complex-step r-derivative of ``crossing_form_fd``
+    and ``gamma_bd`` the boundary form.  ``gamma_fd`` must be negative
+    definite; its signature is then -m and
     |signature| equals the multiplicity, which is what makes every
     crossing a genuine bifurcation point.  A failure here flags either
     a discretization problem or a violated hypothesis and is raised,

@@ -247,6 +247,10 @@ class Assembler:
     once and replaced as a whole tuple, never mutated, and its arrays are
     read only, so concurrent ``h`` calls at different radii each compute
     from a consistent tuple; a race costs at most a recomputation.
+
+    ``h`` also takes a complex radius r + i eps, the complex step of
+    ``conjugate.crossing_form_fd``: Im H(r + i eps) / eps is H'(r) to
+    rounding.  Such a call may read the slot but never replaces it.
     """
 
     def __init__(self, mesh: Mesh, metric: MetricModel, spec: ProblemSpec):
@@ -345,15 +349,7 @@ class Assembler:
 
     # -- element kernels and scatter -------------------------------------------
 
-    def _profiles(self, r: float):
-        """w at every quadrature point (gradient points first) and a at the
-        gradient points, the only ones that read it: the profiles at r times
-        each distinct |x|, gathered."""
-        qg = self.grad_w.shape[1]
-        w, a = metric_mod.coefficients(self.metric, r * self._radii, self.mesh.dim)
-        return w[self._radius_of], a[self._radius_of[:, :qg]]
-
-    def _f_values(self, r: float):
+    def _f_values(self, r: complex):
         """f(r x) at the mass points; the points r x are built only for an
         f that depends on them."""
         ne, qm, d = self.mass_pts.shape
@@ -362,11 +358,12 @@ class Assembler:
             return self.spec.f_values((r * self.mass_pts).reshape(-1, d)).reshape(ne, qm)
         return np.full((ne, qm), c)
 
-    def _r_data(self, r: float):
+    def _r_data(self, r: complex):
         """(K, mass_w w, f) at r, from the slot when r is the last radius;
         every form checks r here.  A new r whose profiles equal the slot's
-        keeps its K and mass_w w, and its f when f is constant."""
-        if not 0.0 <= r <= 1.0:
+        keeps its K and mass_w w, and its f when f is constant.  A complex
+        r (a complex step) may read the slot but never replaces it."""
+        if not 0.0 <= r.real <= 1.0:
             raise ValueError(f"scale parameter r = {r} outside [0, 1]")
         slot = self._at_r
         if slot is not None and slot[0] == r:
@@ -375,13 +372,15 @@ class Assembler:
         K = wq = fq = None
         if slot is not None and np.array_equal(slot[1], w) and np.array_equal(slot[2], a):
             # Equal profiles give equal K and mass_w w, bit for bit: a flat
-            # metric (w = a = 1) does so at every r.
+            # metric (w = a = 1) does so at every r, complex ones included.
             K, wq = slot[3:5]
             if self.spec.f_constant is not None:
                 fq = slot[5]
-        # Release the old radius's data first: kept while the new is
-        # built, it would raise peak memory by one slot.
-        slot = self._at_r = None
+        keep = not np.iscomplexobj(r)
+        if keep:
+            # Release the old radius's data first: kept while the new is
+            # built, it would raise peak memory by one slot.
+            slot = self._at_r = None
         if K is None:
             qg = self.grad_w.shape[1]
             wp, ag = w[self._radius_of], a[self._radius_of[:, :qg]]
@@ -393,6 +392,8 @@ class Assembler:
             wq = self.mass_w * wp[:, qg:]
         if fq is None:
             fq = self._f_values(r)
+        if not keep:
+            return K, wq, fq
         for arr in (w, a, K, wq, fq):
             arr.flags.writeable = False
         slot = (r, w, a, K, wq, fq)
@@ -401,7 +402,10 @@ class Assembler:
 
     def _scatter(self, elem_mats: np.ndarray) -> sp.csc_matrix:
         nnz = self._indices.size
-        d = np.bincount(self._slot, weights=elem_mats.ravel(), minlength=nnz + 1)[:nnz]
+        d = np.bincount(self._slot, weights=elem_mats.real.ravel(), minlength=nnz + 1)[:nnz]
+        if np.iscomplexobj(elem_mats):  # np.bincount sums real weights only
+            d = d + 1j * np.bincount(self._slot, weights=elem_mats.imag.ravel(),
+                                     minlength=nnz + 1)[:nnz]
         d = 0.5 * (d + d[self._transpose])
         n = self.mesh.n_interior
         # Symmetric values on a symmetric pattern: the CSR arrays are also
@@ -427,12 +431,12 @@ class Assembler:
             self._lu_S = factor(self._S)
         return self._lu_S
 
-    def _h_elements(self, r: float) -> np.ndarray:
+    def _h_elements(self, r: complex) -> np.ndarray:
         """Element matrices of H(r), flattened to (ne, nv * nv)."""
         K, wq, fq = self._r_data(r)
         return K + r * r * ((wq * fq) @ self._phi2)
 
-    def h(self, r: float) -> sp.csc_matrix:
+    def h(self, r: complex) -> sp.csc_matrix:
         return self._scatter(self._h_elements(r))
 
     def boundary_flux(self, r: float, V: np.ndarray) -> np.ndarray:

@@ -61,12 +61,15 @@ class MetricModel:
 
 def _sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
     """q(t) = s_k(t)/t: the series s_k(t)/t = 1 - u/6 + u^2/120 - u^3/5040
-    in u = kappa t^2, replaced by the closed form where sqrt|kappa| t
-    reaches SERIES_CUTOFF.  At kappa = 0 the series is exactly 1."""
+    in u = kappa t^2, replaced by the closed form where sqrt|kappa| Re t
+    reaches SERIES_CUTOFF.  At kappa = 0 the series is exactly 1.  Both
+    are analytic in t, so a complex step through them gives q'; below
+    the cutoff only the series keeps it, since sin(z)/z loses q' to
+    cancellation there."""
     u = kappa * t * t
     q = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
     z = np.sqrt(abs(kappa)) * t
-    far = z >= SERIES_CUTOFF
+    far = z.real >= SERIES_CUTOFF
     z = z[far]
     q[far] = (np.sin(z) if kappa > 0.0 else np.sinh(z)) / z
     return q
@@ -81,7 +84,8 @@ def coefficients(model: MetricModel, t: np.ndarray, n: int):
     t : ndarray
         Geodesic distances r|x| on the closed unit ball, 0 <= t <= 1:
         assembly reaches t = 1 on the unit sphere at r = 1, where the
-        closed forms extend continuously.
+        closed forms extend continuously.  Complex t, for a complex
+        step, is kept complex and checked on its real part.
     n : int
         Number of coordinates.
 
@@ -91,11 +95,11 @@ def coefficients(model: MetricModel, t: np.ndarray, n: int):
         entry of A
     a : ndarray, the shape of t, the tangential entry of A, q^(n-3)
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("metric evaluated at a negative radius (t = %g)" % t.min())
-    if np.any(t > 1.0 + 1e-12):
-        raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.max())
+    t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
+    if np.any(t.real < 0.0):
+        raise ValueError("metric evaluated at a negative radius (t = %g)" % t.real.min())
+    if np.any(t.real > 1.0 + 1e-12):
+        raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.real.max())
     q = _sin_ratio(model.kappa, t)
     # q^(n-3), not w / q^2: q^2 overflows near sqrt(-kappa) = 700.
     return q ** (n - 1), q ** (n - 3)

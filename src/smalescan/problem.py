@@ -33,7 +33,8 @@ class ProblemSpec:
     """Potential f and cubic coefficient b of V = f xi + b xi^3.
 
     ``f`` is either a constant or a batched callable mapping points of
-    shape (m, n) to values of shape (m,).
+    shape (m, n) to values of shape (m,).  ``f_values`` keeps complex
+    points complex, so a complex step in r reaches f(r x).
     """
 
     f: Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -48,7 +49,8 @@ class ProblemSpec:
         return float(self.f)
 
     def f_values(self, points: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
+        P = np.atleast_2d(
+            np.asarray(points, dtype=complex if np.iscomplexobj(points) else float))
         if callable(self.f):
             return self.f(P)
         return np.full(P.shape[0], float(self.f))

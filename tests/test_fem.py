@@ -291,18 +291,30 @@ def test_assembly_matches_reference(dim, res, kappa, r):
 @pytest.mark.parametrize("dim,res", [(1, 40), (2, 6)], ids=["1d-40", "2d-6"])
 @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
 @pytest.mark.parametrize("r", [0.0, 0.37, 1.0])
-def test_profiles_read_from_distinct_radii(dim, res, kappa, r):
+def test_profiles_read_from_distinct_radii(dim, res, kappa, r, monkeypatch):
     # The profiles are evaluated once per distinct |x| and gathered; every
     # quadrature point must read what evaluating at its own r|x| gives.
     mesh = fem.build_mesh(dim, res)
     met = metric.MetricModel(kappa)
     asm = fem.Assembler(mesh, met, problem.ProblemSpec(0.0))
     pts = np.concatenate([asm.grad_pts, asm.mass_pts], axis=1)
-    assert asm._radii.size < pts.shape[0] * pts.shape[1]
-    w_ref, a_ref = metric.coefficients(met, r * np.linalg.norm(pts, axis=2), dim)
-    w, a = asm._profiles(r)
-    assert np.array_equal(w, w_ref)
-    assert np.array_equal(a, a_ref[:, :asm.grad_pts.shape[1]])
+    radius = np.linalg.norm(pts, axis=2)
+    assert asm._radii.size < radius.size
+    assert np.array_equal(asm._radii[asm._radius_of], radius)
+    seen = []
+    coefficients = metric.coefficients
+
+    def recorded(model, t, n):
+        seen.append(np.array(t))
+        return coefficients(model, t, n)
+
+    monkeypatch.setattr(metric, "coefficients", recorded)
+    asm.h(r)
+    assert len(seen) == 1 and np.array_equal(seen[0], r * asm._radii)
+    w, a = coefficients(met, seen[0], dim)
+    w_ref, a_ref = coefficients(met, r * radius, dim)
+    assert np.array_equal(w[asm._radius_of], w_ref)
+    assert np.array_equal(a[asm._radius_of], a_ref)
 
 
 @pytest.mark.parametrize("dim,res,kappa,f", [
@@ -314,7 +326,9 @@ def test_radius_slot_matches_fresh_assembler(dim, res, kappa, f):
     # every form must equal a fresh assembler's bit for bit.  A flat
     # metric repeats its profiles at every r, so the slot keeps its K,
     # and its f values too when f is constant; a curved one rebuilds,
-    # also in 1D, where w = 1 at every r and only a changes.
+    # also in 1D, where w = 1 at every r and only a changes.  A complex
+    # radius (the complex step of the crossing form) leaves the slot as
+    # it was: real h calls after it still match a fresh assembler.
     mesh = fem.build_mesh(dim, res)
     met = metric.MetricModel(kappa)
     spec = problem.ProblemSpec(problem.parse_field(f, dim), 1.5)
@@ -334,6 +348,14 @@ def test_radius_slot_matches_fresh_assembler(dim, res, kappa, f):
                 assert np.array_equal(got.data, want.data)
             assert np.array_equal(asm.residual(r, u), fresh().residual(r, u))
         assert np.max(np.abs((asm.jacobian(r, zero) - asm.h(r)).toarray())) == 0.0
+        slot = asm._at_r
+        assert np.iscomplexobj(asm.h(r + 1e-20j * r).data)
+        assert asm._at_r is slot
+        for r_next in (r, 0.5):
+            got, want = asm.h(r_next), fresh().h(r_next)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
     K1, _, f1 = asm._r_data(0.37)
     K2, _, f2 = asm._r_data(0.81)
     assert (K1 is K2) == (kappa == 0.0)
@@ -345,11 +367,12 @@ def test_concurrent_h_at_interleaved_radii():
     # (r of one radius, data of another) would change some matrix.  The
     # curved metric rebuilds the slot at every new radius; the flat one
     # keeps its K (and, with a constant f, its f values) across radii.
+    # The complex radius reads the slot and leaves it as it was.
     mesh = fem.build_mesh(2, 6)
     for kappa, f in ((1.0, "3*r2 - 20"), (0.0, "3*r2 - 20"), (0.0, "-36")):
         spec = problem.ProblemSpec(problem.parse_field(f, 2), 1.5)
         asm = fem.Assembler(mesh, metric.MetricModel(kappa), spec)
-        radii = (0.2, 0.5, 0.8)
+        radii = (0.2, 0.5, 0.8, 0.5 + 0.5e-20j)
         want = {r: fem.Assembler(mesh, asm.metric, spec).h(r).data for r in radii}
         bad = []
 

@@ -85,6 +85,11 @@ def test_domain_errors():
     for t in (-0.9, -1e-300):
         with pytest.raises(ValueError, match="negative radius"):
             metric.coefficients(m, np.array([0.5, t]), 2)
+    # A complex t (a complex step) is checked, and named, by its real part.
+    with pytest.raises(ValueError, match=r"negative radius \(t = -0\.9\)"):
+        metric.coefficients(m, np.array([0.5, -0.9 + 1e-20j]), 2)
+    with pytest.raises(ValueError, match=r"outside the unit ball \(\|x\| = 1\.1\)"):
+        metric.coefficients(m, np.array([0.5 + 1e-20j, 1.1 + 1e-20j]), 2)
     with pytest.raises(ValueError):
         metric.MetricModel(np.pi ** 2)
     with pytest.raises(ValueError):
@@ -122,6 +127,25 @@ def test_series_matches_closed_form_near_center():
         ratio = _closed_ratio(kappa, t)
         assert np.allclose(w, ratio, rtol=1e-12, atol=0.0)
         assert np.allclose(a, 1.0 / ratio, rtol=1e-12, atol=0.0)
+
+
+def test_complex_step_gives_the_profile_derivative():
+    # q' = (c_k(t) - q)/t, c_k(t) = cos(sqrt(k) t), or its series where
+    # that cancels, on both sides of the series cutoff.  At t = 1e-3 of
+    # the cutoff sin(z)/z would keep only about 2 digits of Im q.
+    for kappa in (1.0, -2.0):
+        sk = np.sqrt(abs(kappa))
+        t = np.array([1e-3, 0.5, 2.0, 1e3]) * metric.SERIES_CUTOFF / sk
+        t = np.append(t, 0.7)
+        eps = 1e-20 * t
+        w, a = metric.coefficients(metric.MetricModel(kappa), t + 1j * eps, 3)
+        q = _closed_ratio(kappa, t)
+        cos = np.cos(sk * t) if kappa > 0.0 else np.cosh(sk * t)
+        u = kappa * t * t
+        dq = np.where(sk * t < 1e-2, -u / 3.0 + u * u / 30.0, cos - q) / t
+        assert w.real == pytest.approx(q * q, rel=1e-12)
+        assert np.all(a == 1.0)
+        assert w.imag / eps == pytest.approx(2.0 * q * dq, rel=1e-8)
 
 
 def test_one_dimensional_space_forms_are_flat():

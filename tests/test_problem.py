@@ -16,6 +16,17 @@ def test_coordinate_potential_eval():
     assert spec.f_values(0.5 * np.array([[1.0, 0.0]]))[0] == pytest.approx(0.5)
 
 
+def test_complex_points_keep_their_imaginary_part():
+    # A complex step r + i eps through f(r x) gives x . grad f at r x.
+    spec = problem.ProblemSpec(problem.parse_field("5*x1*x2 - 3*r2 + 2", 2))
+    x = np.array([[0.3, -0.4], [0.0, 0.9]])
+    r, eps = 0.6, 1e-20
+    got = spec.f_values((r + 1j * eps) * x)
+    f = 5.0 * x[:, 0] * x[:, 1] - 3.0 * (x * x).sum(axis=1)
+    assert got.real == pytest.approx(r * r * f + 2.0, rel=1e-15)
+    assert got.imag / eps == pytest.approx(2.0 * r * f, rel=1e-15)
+
+
 def test_zero_potential():
     spec = problem.ProblemSpec(0.0)
     assert spec.f_values(0.9 * np.array([[0.3, -0.2]]))[0] == 0.0
