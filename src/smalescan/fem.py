@@ -27,7 +27,11 @@ gradient point and the table of distinct quadrature radii |x|.  Every
 form is then the metric's radial profiles, evaluated once per distinct
 r|x| and gathered, two element kernels (weighted sums of the stiffness
 projectors; the weighted mass values times a fixed phi_i phi_j table)
-and one ``np.bincount`` scatter into that pattern; see ``Assembler``.
+and ``np.bincount`` scatters into that pattern.  A curved metric
+scatters K + r^2 M once per form.  On a flat metric the stiffness does
+not depend on r: the assembler keeps its scattered data, and the
+scattered f-mass data too when f is constant, so that H(r) = K + r^2 f M
+is one axpy of two kept vectors; see ``Assembler``.
 The matrices are returned as exactly symmetric ``scipy.sparse``
 ``csc_matrix`` objects, the format the factorizations of ``spectral``
 read without a transposition.
@@ -53,17 +57,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Mesh:
-    """P1 mesh of the unit ball in dimension 1 or 2.
-
-    ``interior_dof_map[i]`` is the interior dof index of node i, or -1
-    for boundary nodes.
-    """
+    """P1 mesh of the unit ball in dimension 1 or 2."""
 
     dim: int
     nodes: np.ndarray                 # (N, dim)
     elements: np.ndarray              # (ne, dim + 1) node indices
     boundary_nodes: np.ndarray        # (N,) bool
-    interior_dof_map: np.ndarray      # (N,) int, -1 on the boundary
     boundary_weights: np.ndarray      # (N,) lumped P1 boundary measure
 
     @property
@@ -93,12 +92,6 @@ def build_mesh(dim: int, resolution: int) -> Mesh:
     raise ValueError(f"unsupported mesh dimension {dim}")
 
 
-def _interior_map(boundary: np.ndarray) -> np.ndarray:
-    dof = np.full(boundary.shape[0], -1, dtype=int)
-    dof[~boundary] = np.arange(int((~boundary).sum()))
-    return dof
-
-
 def _build_mesh_1d(res: int) -> Mesh:
     nodes = np.linspace(-1.0, 1.0, res + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(res), np.arange(1, res + 1)])
@@ -109,7 +102,6 @@ def _build_mesh_1d(res: int) -> Mesh:
         nodes=nodes,
         elements=elements,
         boundary_nodes=boundary,
-        interior_dof_map=_interior_map(boundary),
         boundary_weights=boundary.astype(float),
     )
 
@@ -167,7 +159,6 @@ def _build_mesh_2d(rings: int) -> Mesh:
         nodes=nodes,
         elements=elements,
         boundary_nodes=boundary,
-        interior_dof_map=_interior_map(boundary),
         boundary_weights=weights,
     )
 
@@ -226,27 +217,37 @@ class Assembler:
         stiffness  K_t = (sum_q gw a) P1_t + sum_q gw (w - a) P2_tq
         mass       M_t = (mass_w w c)_t @ Phi,  Phi[q, i nv + j] = phi_i phi_j
 
-    with c = f for H(r) and c = dV/du(r x, u) for J(r, u), so J(r, 0)
-    equals H(r) exactly.  ``h`` and ``boundary_flux`` share the element
-    matrices K_t + r^2 M_t of H(r); the flux applies their boundary-node
-    rows to a vector extended by zero.  A flat metric (w = a = 1) gives
-    K_t = (sum_q gw) P1_t, the Gram matrix's kernel, bit for bit.  A matrix is
-    one ``np.bincount`` into the slots followed by 0.5 (d + d[transpose]),
-    which is exactly symmetric, returned as a ``csc_matrix`` on the
-    pattern's arrays.  The mass and nonlinear terms read only w from the
-    metric.
+    with c = f for H(r) and c = dV/du(r x, u) for J(r, u).  ``h`` and
+    ``boundary_flux`` share the element matrices K_t + r^2 M_t of H(r); the
+    flux applies their boundary-node rows to a vector extended by zero.
+    The mass and nonlinear terms read only w from the metric.  Element
+    matrices become ``data`` on the pattern by one ``np.bincount`` into the
+    slots followed by 0.5 (d + d[transpose]), which is exactly symmetric,
+    and a matrix is ``data`` wrapped as a ``csc_matrix`` on the pattern's
+    arrays; write data(X) for the ``data`` of element matrices X.  The
+    metric chooses the formula, so every form at r has the same bits
+    whatever was assembled before:
+
+        curved   H, J = data(K + r^2 M), one scatter per form
+        flat     H, J = data(K) + r^2 data(M), data(K) kept across radii
+                        and, when f is constant, data(M) of H too
+
+    A flat metric (w = a = 1) gives K_t = (sum_q gw) P1_t, the Gram
+    matrix's kernel, bit for bit, at every r.  In both formulas J(r, 0)
+    equals H(r) exactly.
 
     The r-only data of the last radius sits in one slot, a tuple
-    ``(r, w, a, K, mass_w w, f)``: the profiles at the distinct radii,
-    K_t, and mass_w w and f at the mass points.  Newton continuation
-    calls ``residual`` and ``jacobian`` many times at one r, and they
-    recompute nothing on a repeat of r.  A new r evaluates the profiles
-    once; if they equal the slot's exactly (a flat metric gives w = a = 1
-    at every r), K_t and mass_w w are kept, and so is f when it is
-    constant, since they would be rebuilt bit for bit.  The slot is read
-    once and replaced as a whole tuple, never mutated, and its arrays are
-    read only, so concurrent ``h`` calls at different radii each compute
-    from a consistent tuple; a race costs at most a recomputation.
+    ``(r, K, mass_w w, f, data(K), data(M))``: K_t, mass_w w and f at the
+    mass points, and on a flat metric the scattered stiffness and, when f
+    is constant, the scattered f-mass (None otherwise).  Newton
+    continuation calls ``residual`` and ``jacobian`` many times at one r,
+    and they recompute nothing on a repeat of r.  A new r evaluates the
+    profiles once.  A curved metric then rebuilds the slot; a flat one
+    keeps everything but f and the f-mass, and those too when f is
+    constant, so ``h`` at a new r is one axpy of nnz values.  The slot is
+    read once and replaced as a whole tuple, never mutated, and its arrays
+    are read only, so concurrent ``h`` calls at different radii each
+    compute from a consistent tuple; a race costs at most a recomputation.
 
     ``h`` also takes a complex radius r + i eps, the complex step of
     ``conjugate.crossing_form_fd``: Im H(r + i eps) / eps is H'(r) to
@@ -266,8 +267,9 @@ class Assembler:
         self._phi2 = np.ascontiguousarray(
             (phi[:, None, :] * phi[None, :, :]).reshape(nv * nv, -1).T
         )                                                  # (qm, nv * nv)
-        self._setup_scatter()
         self._int_idx = np.flatnonzero(~mesh.boundary_nodes)
+        self._setup_scatter()
+        self._flat = metric.kappa == 0.0
         # The metric depends on x only through |x| and e e^T (e = 0 at x = 0).
         # Many points share |x| (the 1D mesh is mirror-symmetric, the polar
         # one rotation-symmetric), so the profiles are evaluated once per
@@ -284,9 +286,9 @@ class Assembler:
         Ge = e @ G.transpose(0, 2, 1)                                 # (ne, qg, nv)
         self._P1 = (G @ G.transpose(0, 2, 1)).reshape(ne, -1)
         self._P2 = (Ge[:, :, :, None] * Ge[:, :, None, :]).reshape(ne, qg, -1)
-        self._S = self._scatter(self.grad_w.sum(axis=1)[:, None] * self._P1)
+        self._S = self._csc(self._data(self.grad_w.sum(axis=1)[:, None] * self._P1))
         self._lu_S = None
-        self._at_r = None  # (r, w, a, K, mass_w w, f) of the last radius
+        self._at_r = None  # (r, K, mass_w w, f, data(K), data(M)) of the last radius
 
     # -- geometry -----------------------------------------------------------
 
@@ -331,8 +333,10 @@ class Assembler:
         ``_slot[t * nv * nv + i * nv + j]`` of ``data``; entries touching
         a boundary node go to the extra slot nnz, which is discarded.
         """
-        n = self.mesh.n_interior
-        dof = self.mesh.interior_dof_map[self.mesh.elements]  # (ne, nv)
+        n = self._int_idx.size
+        dof = np.full(self.mesh.n_nodes, -1)
+        dof[self._int_idx] = np.arange(n)
+        dof = dof[self.mesh.elements]                          # (ne, nv)
         nv = dof.shape[1]
         rows = np.repeat(dof, nv, axis=1).ravel()
         cols = np.tile(dof, (1, nv)).ravel()
@@ -358,24 +362,27 @@ class Assembler:
             return self.spec.f_values((r * self.mass_pts).reshape(-1, d)).reshape(ne, qm)
         return np.full((ne, qm), c)
 
-    def _r_data(self, r: complex):
-        """(K, mass_w w, f) at r, from the slot when r is the last radius;
-        every form checks r here.  A new r whose profiles equal the slot's
-        keeps its K and mass_w w, and its f when f is constant.  A complex
-        r (a complex step) may read the slot but never replaces it."""
+    def _r_slot(self, r: complex):
+        """The slot's tuple at r (see the class docstring), read from the
+        slot when r is the last radius; every form checks r here.  A
+        complex r (a complex step) may read the slot but never replaces
+        it."""
         if not 0.0 <= r.real <= 1.0:
             raise ValueError(f"scale parameter r = {r} outside [0, 1]")
         slot = self._at_r
         if slot is not None and slot[0] == r:
-            return slot[3:]
+            return slot
+        # Once per new r; a flat metric's profiles are exact ones, which
+        # only the first slot reads.
         w, a = metric_mod.coefficients(self.metric, r * self._radii, self.mesh.dim)
-        K = wq = fq = None
-        if slot is not None and np.array_equal(slot[1], w) and np.array_equal(slot[2], a):
-            # Equal profiles give equal K and mass_w w, bit for bit: a flat
-            # metric (w = a = 1) does so at every r, complex ones included.
-            K, wq = slot[3:5]
-            if self.spec.f_constant is not None:
-                fq = slot[5]
+        K = fq = Md = None
+        if self._flat and slot is not None:
+            # w = a = 1 at every r, so the stiffness and mass_w w are the
+            # slot's bit for bit, and f and the f-mass are too when f is
+            # constant, complex radii included.
+            _, K, wq, fq, Kd, Md = slot
+            if self.spec.f_constant is None:
+                fq = Md = None
         keep = not np.iscomplexobj(r)
         if keep:
             # Release the old radius's data first: kept while the new is
@@ -390,28 +397,39 @@ class Assembler:
             K = (self.grad_w * ag).sum(axis=1)[:, None] * self._P1
             K += np.einsum("tq,tqk->tk", self.grad_w * (wg - ag), self._P2)
             wq = self.mass_w * wp[:, qg:]
+            Kd = self._data(K) if self._flat else None
         if fq is None:
             fq = self._f_values(r)
-        if not keep:
-            return K, wq, fq
-        for arr in (w, a, K, wq, fq):
-            arr.flags.writeable = False
-        slot = (r, w, a, K, wq, fq)
-        self._at_r = slot
-        return slot[3:]
+            if self._flat and self.spec.f_constant is not None:
+                Md = self._data((wq * fq) @ self._phi2)
+        slot = (r, K, wq, fq, Kd, Md)
+        if keep:
+            for arr in slot[1:]:
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._at_r = slot
+        return slot
 
-    def _scatter(self, elem_mats: np.ndarray) -> sp.csc_matrix:
+    def _r_data(self, r: complex):
+        """(K, mass_w w, f) at r."""
+        return self._r_slot(r)[1:4]
+
+    def _data(self, elem_mats: np.ndarray) -> np.ndarray:
+        """The pattern's ``data`` of the element matrices (ne, nv * nv),
+        exactly symmetric."""
         nnz = self._indices.size
         d = np.bincount(self._slot, weights=elem_mats.real.ravel(), minlength=nnz + 1)[:nnz]
         if np.iscomplexobj(elem_mats):  # np.bincount sums real weights only
             d = d + 1j * np.bincount(self._slot, weights=elem_mats.imag.ravel(),
                                      minlength=nnz + 1)[:nnz]
-        d = 0.5 * (d + d[self._transpose])
+        return 0.5 * (d + d[self._transpose])
+
+    def _csc(self, data: np.ndarray) -> sp.csc_matrix:
         n = self.mesh.n_interior
         # Symmetric values on a symmetric pattern: the CSR arrays are also
         # the CSC arrays of the same matrix.
         return sp.csc_matrix(
-            (d, self._indices.copy(), self._indptr.copy()), shape=(n, n)
+            (data, self._indices.copy(), self._indptr.copy()), shape=(n, n)
         )
 
     def _element_values(self, u: np.ndarray):
@@ -431,13 +449,19 @@ class Assembler:
             self._lu_S = factor(self._S)
         return self._lu_S
 
-    def _h_elements(self, r: complex) -> np.ndarray:
-        """Element matrices of H(r), flattened to (ne, nv * nv)."""
-        K, wq, fq = self._r_data(r)
-        return K + r * r * ((wq * fq) @ self._phi2)
+    def _assemble(self, r: complex, K, Kd, mass: np.ndarray) -> sp.csc_matrix:
+        """K + r^2 M on the pattern from the mass kernel M_t (ne, nv * nv),
+        by the metric's formula: one scatter of K_t + r^2 M_t (curved, no
+        kept data(K)), or data(K) plus r^2 times the scatter of M_t (flat)."""
+        if Kd is None:
+            return self._csc(self._data(K + r * r * mass))
+        return self._csc(Kd + r * r * self._data(mass))
 
     def h(self, r: complex) -> sp.csc_matrix:
-        return self._scatter(self._h_elements(r))
+        _, K, wq, fq, Kd, Md = self._r_slot(r)
+        if Md is not None:
+            return self._csc(Kd + r * r * Md)
+        return self._assemble(r, K, Kd, (wq * fq) @ self._phi2)
 
     def boundary_flux(self, r: float, V: np.ndarray) -> np.ndarray:
         """Boundary-node rows, in ``mesh.boundary_nodes`` order, of the
@@ -447,16 +471,17 @@ class Assembler:
         ne, nv = self.mesh.elements.shape
         full = np.zeros((self.mesh.n_nodes, V.shape[1]))
         full[self._int_idx] = V
-        Fe = self._h_elements(r).reshape(ne, nv, nv) @ full[self.mesh.elements]
+        K, wq, fq = self._r_data(r)
+        He = K + r * r * ((wq * fq) @ self._phi2)
+        Fe = He.reshape(ne, nv, nv) @ full[self.mesh.elements]
         sigma = np.zeros_like(full)
         np.add.at(sigma, self.mesh.elements.ravel(), Fe.reshape(ne * nv, -1))
         return sigma[self.mesh.boundary_nodes]
 
     def jacobian(self, r: float, u: np.ndarray) -> sp.csc_matrix:
         _, uq = self._element_values(u)
-        K, wq, fq = self._r_data(r)
-        cq = self.spec.dv_values(fq, uq)
-        return self._scatter(K + r * r * ((wq * cq) @ self._phi2))
+        _, K, wq, fq, Kd, _ = self._r_slot(r)
+        return self._assemble(r, K, Kd, (wq * self.spec.dv_values(fq, uq)) @ self._phi2)
 
     def residual(self, r: float, u: np.ndarray) -> np.ndarray:
         ue, uq = self._element_values(u)

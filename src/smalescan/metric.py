@@ -94,12 +94,20 @@ def coefficients(model: MetricModel, t: np.ndarray, n: int):
     w : ndarray, the shape of t, |g|^(1/2) = q^(n-1), also the radial
         entry of A
     a : ndarray, the shape of t, the tangential entry of A, q^(n-3)
+
+    At kappa = 0, after the domain checks, both are exact ones (the
+    dtype of t), bit for bit what the series would give, without a pass
+    over t.
     """
     t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
     if np.any(t.real < 0.0):
         raise ValueError("metric evaluated at a negative radius (t = %g)" % t.real.min())
     if np.any(t.real > 1.0 + 1e-12):
         raise ValueError("metric evaluated outside the unit ball (|x| = %g)" % t.real.max())
+    if model.kappa == 0.0:
+        # q = 1: the series would give exactly these values at every t.
+        one = np.ones((), t.dtype)
+        return np.full(t.shape, one ** (n - 1)), np.full(t.shape, one ** (n - 3))
     q = _sin_ratio(model.kappa, t)
     # q^(n-3), not w / q^2: q^2 overflows near sqrt(-kappa) = 700.
     return q ** (n - 1), q ** (n - 3)

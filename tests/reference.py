@@ -16,8 +16,10 @@ tests make on its output:
     matrices from g = P_rad + q^2 P_tan, against the radial profiles of
     ``metric.coefficients``;
   * ``reference_assembly`` and ``energy``: H, J, F, S by COO assembly
-    with four-operand einsum kernels, and the discrete energy E whose
-    exact gradient is F;
+    with four-operand einsum kernels, on gradients and quadrature
+    points that ``simplex_geometry`` derives from the mesh and the
+    published rules, and the discrete energy E whose exact gradient
+    is F;
   * ``g_values``: the primitive G of the nonlinearity V;
   * ``multistart_no_small_solutions`` and ``amplitude_exponent``:
     the multi-start search for small nontrivial solutions away from the
@@ -168,17 +170,61 @@ def g_values(spec, fvals, xi):
     return 0.5 * fvals * xi ** 2 + 0.25 * spec.cubic_b * xi ** 4
 
 
+# Quadrature rules on the reference simplex: barycentric points (q, nv)
+# and weights summing to 1.  Gradient terms: the midpoint rule (1D) and
+# the interior 3-point rule of degree 2 (2D).  Mass terms: 3-point
+# Gauss-Legendre (1D) and Radon's 7-point degree-5 rule (2D).
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(3)
+_S15 = math.sqrt(15.0)
+_A, _B = (6.0 - _S15) / 21.0, (6.0 + _S15) / 21.0
+_GRADIENT_RULES = {
+    1: (np.array([[0.5, 0.5]]), np.array([1.0])),
+    2: (np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
+        np.full(3, 1 / 3)),
+}
+_MASS_RULES = {
+    1: (np.column_stack([0.5 * (1.0 - _GAUSS_X), 0.5 * (1.0 + _GAUSS_X)]), 0.5 * _GAUSS_W),
+    2: (np.array([[1 / 3, 1 / 3, 1 / 3],
+                  [1 - 2 * _A, _A, _A], [_A, 1 - 2 * _A, _A], [_A, _A, 1 - 2 * _A],
+                  [1 - 2 * _B, _B, _B], [_B, 1 - 2 * _B, _B], [_B, _B, 1 - 2 * _B]]),
+        np.array([9 / 40] + 3 * [(155 - _S15) / 1200] + 3 * [(155 + _S15) / 1200])),
+}
+
+
+def simplex_geometry(mesh):
+    """(grads, grad_pts, grad_w, mass_pts, mass_w, phi) of a P1 mesh.
+
+    The hat functions of a simplex are its barycentric coordinates:
+    lambda_i(x) = C[0, i] + C[1:, i] . x with C the inverse of the
+    vertex matrix B = [1 | vertices], whose determinant is d! times the
+    simplex's measure.  A rule maps to each simplex by its barycentric
+    points, and phi (nv, qm) is lambda_i at the mass points.
+    """
+    v = mesh.nodes[mesh.elements]                          # (ne, nv, d)
+    ne, nv, d = v.shape
+    B = np.concatenate([np.ones((ne, nv, 1)), v], axis=2)
+    grads = np.linalg.inv(B)[:, 1:, :].transpose(0, 2, 1)  # (ne, nv, d)
+    measure = np.abs(np.linalg.det(B)) / math.factorial(d)
+    out = [grads]
+    for bary, w in (_GRADIENT_RULES[d], _MASS_RULES[d]):
+        out += [np.einsum("qi,tid->tqd", bary, v), measure[:, None] * w[None, :]]
+    return (*out, _MASS_RULES[d][0].T)
+
+
 def reference_assembly(asm, r, u):
     """(H(r), J(r, u), F(r, u), S, E(r, u)) by COO assembly with four-operand
     einsum kernels: convert to CSR, slice the interior, symmetrize.
 
-    Oracle for the precomputed scatter and the matmul kernels of
-    ``fem.Assembler``; it reads only the assembler's geometry and
-    quadrature attributes and evaluates A and w through ``metric_fields``.
-    E is the discrete energy, whose exact gradient is F.
+    Oracle for the precomputed scatter, the matmul kernels and the
+    geometry of ``fem.Assembler``; it reads only the assembler's mesh,
+    metric and problem, derives gradients and quadrature from the mesh
+    by ``simplex_geometry`` and evaluates A and w through
+    ``metric_fields``.  E is the discrete energy, whose exact gradient
+    is F.
     """
     mesh, met, spec = asm.mesh, asm.metric, asm.spec
-    nodes, phi = asm.mesh.elements, asm.mass_phi
+    grads, grad_pts, grad_w, mass_pts, mass_w, phi = simplex_geometry(mesh)
+    nodes = mesh.elements
     ne, nv = nodes.shape
     N = mesh.n_nodes
     interior = np.flatnonzero(~mesh.boundary_nodes)
@@ -190,13 +236,13 @@ def reference_assembly(asm, r, u):
         M = M[interior][:, interior]
         return (0.5 * (M + M.T)).tocsr()
 
-    _, qg, d = asm.grad_pts.shape
-    A, _ = metric_fields(met, (r * asm.grad_pts).reshape(-1, d))
+    _, qg, d = grad_pts.shape
+    A, _ = metric_fields(met, (r * grad_pts).reshape(-1, d))
     A = A.reshape(ne, qg, d, d)
-    Ke = np.einsum("tq,tqab,tia,tjb->tij", asm.grad_w, A, asm.grads, asm.grads)
-    qm = asm.mass_pts.shape[1]
-    pts = (r * asm.mass_pts).reshape(-1, d)
-    wq = asm.mass_w * metric_fields(met, pts)[1].reshape(ne, qm)
+    Ke = np.einsum("tq,tqab,tia,tjb->tij", grad_w, A, grads, grads)
+    qm = mass_pts.shape[1]
+    pts = (r * mass_pts).reshape(-1, d)
+    wq = mass_w * metric_fields(met, pts)[1].reshape(ne, qm)
     fq = spec.f_values(pts).reshape(ne, qm)
     full = np.zeros(N)
     full[interior] = u
@@ -205,13 +251,13 @@ def reference_assembly(asm, r, u):
     H = matrix(Ke + r * r * np.einsum("tq,iq,jq->tij", wq * fq, phi, phi))
     dvq = spec.dv_values(fq, uq)
     J = matrix(Ke + r * r * np.einsum("tq,iq,jq->tij", wq * dvq, phi, phi))
-    gu = np.einsum("tia,ti->ta", asm.grads, ue)
-    Fe = np.einsum("tq,tia,tqab,tb->ti", asm.grad_w, asm.grads, A, gu)
+    gu = np.einsum("tia,ti->ta", grads, ue)
+    Fe = np.einsum("tq,tia,tqab,tb->ti", grad_w, grads, A, gu)
     Fe += r * r * np.einsum("tq,iq->ti", wq * spec.v_values(fq, uq), phi)
     F = np.zeros(N)
     np.add.at(F, nodes.ravel(), Fe.ravel())
-    S = matrix(np.einsum("t,tia,tja->tij", asm.grad_w.sum(axis=1), asm.grads, asm.grads))
-    E = 0.5 * np.einsum("tq,ta,tqab,tb->", asm.grad_w, gu, A, gu)
+    S = matrix(np.einsum("t,tia,tja->tij", grad_w.sum(axis=1), grads, grads))
+    E = 0.5 * np.einsum("tq,ta,tqab,tb->", grad_w, gu, A, gu)
     E += r * r * np.sum(wq * g_values(spec, fq, uq))
     return H, J, F[interior], S, E
 

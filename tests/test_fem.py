@@ -219,11 +219,21 @@ class TestResidualJacobian:
         r = 0.8
         assert np.allclose(asm.residual(r, u), asm.h(r) @ u, atol=1e-12)
 
-    def test_jacobian_at_zero_equals_h(self):
-        r = 0.73
-        J = self.asm.jacobian(r, np.zeros(self.mesh.n_interior))
-        H = self.asm.h(r)
-        assert np.max(np.abs((J - H).toarray())) == 0.0
+    # Each metric keeps its formula at every radius: on a flat one H(r) is
+    # the kept stiffness data plus r^2 times the f-mass data (kept when f
+    # is constant) and J(r, u) one mass scatter; a curved one scatters
+    # K + r^2 M per form.
+    @pytest.mark.parametrize("kappa,f", [(0.0, "-10"), (0.0, "3*r2 - 20"), (1.0, "-10")],
+                             ids=["flat-constant", "flat-x", "curved"])
+    def test_jacobian_at_zero_equals_h(self, kappa, f):
+        spec = problem.ProblemSpec(problem.parse_field(f, 1), 1.0)
+        asm = fem.Assembler(self.mesh, metric.MetricModel(kappa), spec)
+        zero = np.zeros(self.mesh.n_interior)
+        for r in (0.73, 0.41):
+            J = asm.jacobian(r, zero)
+            H = asm.h(r)
+            assert np.max(np.abs((J - H).toarray())) == 0.0
+            assert np.array_equal(J.data, H.data)
 
     def test_linear_jacobian_is_h_for_all_u(self):
         spec = problem.ProblemSpec(-4.0)
@@ -321,7 +331,7 @@ def test_profiles_read_from_distinct_radii(dim, res, kappa, r, monkeypatch):
     (1, 40, 0.0, "3*r2 - 20"), (2, 6, 1.0, "3*r2 - 20"), (2, 6, 0.0, "-36"),
     (1, 40, 1.0, "-36"),
 ], ids=["1d-40", "cap-6", "disc-6-flat", "1d-40-curved"])
-def test_radius_slot_matches_fresh_assembler(dim, res, kappa, f):
+def test_radius_slot_matches_fresh_assembler(dim, res, kappa, f, monkeypatch):
     # Interleaved radii reuse and replace the slot of the last radius;
     # every form must equal a fresh assembler's bit for bit.  A flat
     # metric repeats its profiles at every r, so the slot keeps its K,
@@ -360,6 +370,22 @@ def test_radius_slot_matches_fresh_assembler(dim, res, kappa, f):
     K2, _, f2 = asm._r_data(0.81)
     assert (K1 is K2) == (kappa == 0.0)
     assert (f1 is f2) == (kappa == 0.0 and spec.f_constant is not None)
+    # At a new radius a flat metric with constant f scatters nothing: H(r)
+    # is one axpy of the kept data vectors.  Otherwise h is one scatter.
+    want = fresh().h(0.6)
+    bincount = np.bincount
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    got = asm.h(0.6)
+    monkeypatch.undo()
+    assert len(calls) == (0 if kappa == 0.0 and spec.f_constant is not None else 1)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 def test_concurrent_h_at_interleaved_radii():

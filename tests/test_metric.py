@@ -20,13 +20,36 @@ def test_euclidean_is_curvature_zero():
     assert metric.MetricModel() == metric.MetricModel(0.0)
 
 
-def test_zero_curvature_collapses_to_flat():
-    # kappa = 0 runs through the series, which is exactly 1 there.
+def test_zero_curvature_collapses_to_flat(monkeypatch):
+    # kappa = 0 returns exact ones without the series, bit for bit what
+    # the series and its two powers give (the sign of a zero imaginary
+    # part included), after the same domain checks.
     m = metric.MetricModel(0.0)
     t = np.array([0.0, 0.3 * metric.SERIES_CUTOFF, 0.2, 0.45, 1.0])
-    for n in (1, 2, 3):
-        w, a = metric.coefficients(m, t, n)
-        assert np.all(w == 1.0) and np.all(a == 1.0)
+    sin_ratio = metric._sin_ratio
+
+    def series(t, n):
+        q = sin_ratio(0.0, t)
+        return q ** (n - 1), q ** (n - 3)
+
+    def refused(*args):
+        raise AssertionError("_sin_ratio called at kappa = 0")
+
+    cases = [(x, n, series(x, n)) for x in (t, t * (1.0 + 1e-20j), t - 1e-20j)
+             for n in (1, 2, 3)]
+    monkeypatch.setattr(metric, "_sin_ratio", refused)
+    for x, n, want in cases:
+        got = metric.coefficients(m, x, n)
+        assert np.all(got[0] == 1.0) and np.all(got[1] == 1.0)
+        for g, s in zip(got, want):
+            assert g.dtype == s.dtype and g.shape == s.shape
+            assert g.tobytes() == s.tobytes()
+    for bad in (np.array([0.5, -1e-300]), np.array([0.5, -0.9 + 1e-20j])):
+        with pytest.raises(ValueError, match="negative radius"):
+            metric.coefficients(m, bad, 2)
+    for bad in (np.array([0.5, 1.1]), np.array([0.5 + 1e-20j, 1.1 + 1e-20j])):
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            metric.coefficients(m, bad, 2)
 
 
 def test_sphere_values_at_half_radius():
