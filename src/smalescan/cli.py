@@ -17,6 +17,13 @@ degenerate endpoint (the pencil (H(1), S) has an eigenvalue within
 KERNEL_THRESHOLD_AT_ONE of zero).  Each failure prints one line to
 stderr; an unconfirmed bifurcation prints one per radius, naming each
 direction's failure or intercept.
+
+``Pipeline.scan`` runs the grid inside ``spectral._kept_heap``: on glibc
+the memory each count's factorization frees stays in the heap for the
+next count, and is trimmed when the scan ends.  Nothing else runs
+inside it, so the stages after the scan, and any library caller, keep
+the allocator's usual policy.  Only where the memory comes from
+changes; every count and output is the same.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from . import conjugate as conj_mod
 from . import fem, metric, problem
 from .conjugate import DegenerateRadiusOneError, VerificationError
 from .fem import Assembler
-from .spectral import FactorizationError
+from .spectral import FactorizationError, _kept_heap
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "main", "main_entry"]
 
@@ -214,7 +221,8 @@ class Pipeline:
     def scan(self) -> conj_mod.ScanResult:
         if self._scan is None:
             grid = _scan_grid(self.cfg)
-            self._scan = conj_mod.scan(self.assembler, grid, threads=self.threads)
+            with _kept_heap():
+                self._scan = conj_mod.scan(self.assembler, grid, threads=self.threads)
         return self._scan
 
     def conjugates(self) -> List[conj_mod.ConjugateRadius]:

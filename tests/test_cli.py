@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import subprocess
 import sys
@@ -25,6 +26,14 @@ branch.steps = 10
 branch.step_size = 0.001
 output.dir = out
 """
+
+
+def drop_the_count(monkeypatch):
+    """Make the scan's counts read 0 -> 2 -> 1 across the grid."""
+    monkeypatch.setattr(
+        conjugate, "_n_neg_evaluator",
+        lambda asm: lambda r: 0 if r < 0.3 else (2 if r < 0.6 else 1),
+    )
 
 
 @pytest.fixture()
@@ -158,16 +167,22 @@ class TestRun:
 
     def test_count_drop_exits_2(self, config_file, tmp_path, monkeypatch, capsys):
         # 0 -> 2 -> 1 across the grid used to be written to scan.csv with exit 0
-        monkeypatch.setattr(
-            conjugate, "_n_neg_evaluator",
-            lambda asm: lambda r: 0 if r < 0.3 else (2 if r < 0.6 else 1),
-        )
+        drop_the_count(monkeypatch)
         out = tmp_path / "o"
         assert cli.run("scan", config_file, out_dir=out) == cli.EXIT_VERIFY
         err = capsys.readouterr().err
         assert err.startswith("verification failure: negative count drops from 2")
         assert err.count("\n") == 1
         assert not (out / "scan.csv").exists()
+
+    def test_scan_that_raises_restores_the_allocator(self, config_file, tmp_path,
+                                                     monkeypatch, fake_libc):
+        drop_the_count(monkeypatch)
+        assert cli.run("scan", config_file, out_dir=tmp_path / "o") == cli.EXIT_VERIFY
+        assert fake_libc.calls == [
+            ("mallopt", -4, 0), ("mallopt", -1, -1),
+            ("mallopt", -4, 65536), ("mallopt", -1, 32 << 20), ("malloc_trim", 0),
+        ]
 
     def test_scan_writes_csv(self, config_file, tmp_path):
         out = tmp_path / "o"
@@ -287,6 +302,35 @@ class TestRun:
         for name in ("scan.csv", "conjugate.csv", "crossing.csv", "index_report.txt"):
             assert (out / name).is_file()
 
+    def test_all_keeps_the_heap_around_the_scan_alone(self, config_file, tmp_path,
+                                                      monkeypatch):
+        events = []
+
+        @contextlib.contextmanager
+        def kept_heap():
+            events.append("enter")
+            yield
+            events.append("exit")
+
+        def recorded(module, name):
+            call = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        monkeypatch.setattr(cli, "_kept_heap", kept_heap)
+        for name in ("endpoint_kernel_gap", "scan", "find_conjugate_radii",
+                     "verify_crossing"):
+            recorded(conjugate, name)
+        recorded(branch, "trace_branch")
+        assert cli.run("all", config_file, out_dir=tmp_path / "o") == cli.EXIT_OK
+        assert events[:4] == ["endpoint_kernel_gap", "enter", "scan", "exit"]
+        assert set(events[4:]) == {"find_conjugate_radii", "verify_crossing",
+                                   "trace_branch"}
+
     def test_every_factorization_uses_the_inertia_options(self, config_file, tmp_path,
                                                           monkeypatch):
         # Negative count, kernel eigensolve, Gram solve and Newton step
@@ -308,9 +352,14 @@ class TestRun:
         assert [spec for spec, _ in options].count("MMD_AT_PLUS_A") == 1
         assert options.count(("NATURAL", 0.0)) == len(options) - 1 > 0
 
-    def test_determinism_byte_identical(self, config_file, tmp_path):
+    @pytest.mark.parametrize("second", ["kept", "nullcontext"])
+    def test_determinism_byte_identical(self, config_file, tmp_path, monkeypatch, second):
+        # The second run keeps the scan's heap too, or leaves the allocator
+        # alone: where the memory comes from changes no byte.
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.run("conjugate", config_file, out_dir=out1) == cli.EXIT_OK
+        if second == "nullcontext":
+            monkeypatch.setattr(cli, "_kept_heap", contextlib.nullcontext)
         assert cli.run("conjugate", config_file, out_dir=out2) == cli.EXIT_OK
         for name in ("scan.csv", "conjugate.csv"):
             if (out1 / name).exists():
@@ -428,9 +477,15 @@ class TestMainEntry:
     def test_usage_error_exit_code(self):
         assert cli.main(["scan"]) == cli.EXIT_USAGE  # missing --config
 
-    def test_two_threads_scan_matches_one_thread(self, config_file, tmp_path):
+    @pytest.mark.parametrize("second", ["kept", "nullcontext"])
+    def test_two_threads_scan_matches_one_thread(self, config_file, tmp_path,
+                                                 monkeypatch, second):
+        # The two-thread run keeps the scan's heap too, or leaves the
+        # allocator alone.
         scans = []
         for threads in ("1", "2"):
+            if threads == "2" and second == "nullcontext":
+                monkeypatch.setattr(cli, "_kept_heap", contextlib.nullcontext)
             out = tmp_path / f"t{threads}"
             code = cli.main(["scan", "--config", str(config_file), "--out", str(out),
                              "--threads", threads])

@@ -1,9 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from smalescan import fem, metric, problem, spectral
+from smalescan import conjugate, fem, metric, problem, spectral
 
 import reference
 
@@ -327,3 +332,62 @@ class TestKernelEigenpairs:
         with pytest.raises(spectral.FactorizationError, match="lost rank"):
             spectral.kernel_eigenpairs(asm.h(0.5), asm.gram(), 1)
         assert len(calls) == 2
+
+
+# Minor faults of one 100-radius scan of a 12-ring flat disc, plain and
+# inside ``_kept_heap``, in one process, after a short scan that makes
+# the fill-reducing order and the kept stiffness.
+FAULT_SCRIPT = """
+import contextlib, json, resource
+import numpy as np
+from smalescan import conjugate, fem, metric, problem, spectral
+
+asm = fem.Assembler(fem.build_mesh(2, 12), metric.MetricModel(), problem.ProblemSpec(-36.0))
+grid = np.linspace(1e-3, 1.0, 100)
+conjugate.scan(asm, grid[:3])
+faults = {}
+for name, block in (("plain", contextlib.nullcontext), ("kept", spectral._kept_heap)):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with block():
+        conjugate.scan(asm, grid)
+    faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+"""
+
+
+class TestKeptHeap:
+    def test_calls_on_entry_and_exit(self, fake_libc):
+        with spectral._kept_heap():
+            # M_MMAP_MAX = -4 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h.
+            assert fake_libc.calls == [("mallopt", -4, 0), ("mallopt", -1, -1)]
+        assert fake_libc.calls[2:] == [
+            ("mallopt", -4, 65536), ("mallopt", -1, 32 << 20), ("malloc_trim", 0),
+        ]
+
+    @pytest.mark.parametrize("libc", ["no confstr", "no such name", "unset", "musl"])
+    def test_other_libc_gets_no_call(self, fake_libc, monkeypatch, libc):
+        def unknown_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        if libc == "no confstr":
+            monkeypatch.delattr(os, "confstr")
+        else:
+            reported = {"no such name": unknown_name, "unset": lambda name: None,
+                        "musl": lambda name: "musl 1.2.4"}[libc]
+            monkeypatch.setattr(os, "confstr", reported)
+        with spectral._kept_heap():
+            pass
+        assert fake_libc.opened == 0 and fake_libc.calls == []
+
+    def test_scan_faults_fall_inside_the_block(self):
+        # Each count of the plain scan faults its freed factorization
+        # memory in again; inside the block the heap keeps it.  A fresh
+        # process, because any earlier block in this one has frozen
+        # glibc's thresholds.
+        if spectral._glibc() is None:
+            pytest.skip("glibc only")
+        proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults = json.loads(proc.stdout)
+        assert faults["kept"] < faults["plain"] / 10, faults
