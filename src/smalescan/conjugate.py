@@ -344,11 +344,13 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
             basis = kernel_eigenpairs(H, S, m)
             for j in range(m):
                 v = basis[:, j]
-                rel = np.linalg.norm(H @ v) / (s_max * math.sqrt(v @ (S @ v)))
+                Hv = H @ v
+                rel = np.linalg.norm(Hv) / (s_max * math.sqrt(v @ (S @ v)))
                 if rel > KERNEL_RESIDUAL_TOL:
                     raise VerificationError(
                         f"kernel vector residual {rel:.2e} exceeds "
-                        f"{KERNEL_RESIDUAL_TOL} at r* = {r_star}"
+                        f"{KERNEL_RESIDUAL_TOL} at r* = {r_star} (componentwise "
+                        f"backward error {_backward_error(H, v, Hv):.2f})"
                     )
             out.append(
                 ConjugateRadius(
@@ -356,6 +358,18 @@ def find_conjugate_radii(asm: Assembler, scan_result: ScanResult) -> List[Conjug
                 )
             )
     return out
+
+
+def _backward_error(H, v: np.ndarray, Hv: np.ndarray) -> float:
+    """max_i |Hv|_i / (|H| |v|)_i, the componentwise backward error of v
+    as a kernel vector of H (Oettli & Prager 1964): the smallest relative
+    change of the entries of H that puts v in its kernel.  It is near the
+    unit roundoff for a kernel vector solved to rounding and at most 1,
+    reached when some row must change by all of its size.  Rows with
+    (|H| |v|)_i = 0 have Hv_i = 0 and count 0."""
+    scale = abs(H) @ np.abs(v)
+    ratio = np.divide(np.abs(Hv), scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return float(ratio.max())
 
 
 def crossing_form_fd(asm: Assembler, conj: ConjugateRadius) -> np.ndarray:

@@ -20,18 +20,23 @@ Quadrature: the gradient terms use the midpoint rule (1D) and the
 the cubic nonlinearity of P1 functions exactly in 1D and near-exactly
 in 2D.
 
-Assembly: the interior pattern, the slot in it of every element entry
-and its transpose permutation are built once per mesh, and so are the
-stiffness projectors G G^T and (G e)(G e)^T of every element and
-gradient point and the table of distinct quadrature radii |x|.  Every
-form is then the metric's radial profiles, evaluated once per distinct
-r|x| and gathered, two element kernels (weighted sums of the stiffness
-projectors; the weighted mass values times a fixed phi_i phi_j table)
-and ``np.bincount`` scatters into that pattern.  A curved metric
-scatters K + r^2 M once per form.  On a flat metric the stiffness does
-not depend on r: the assembler keeps its scattered data, and the
-scattered f-mass data too when f is constant, so that H(r) = K + r^2 f M
-is one axpy of two kept vectors; see ``Assembler``.
+Assembly: every element matrix is symmetric, so each is half-stored,
+its nu = nv (nv + 1) / 2 entries i <= j only.  Per mesh, once: the
+interior pattern, the slot among its upper entries (row <= col) of
+every upper element entry, the mirror map from each pattern entry to
+the upper entry of its pair, the half-stored stiffness projectors
+G G^T and (G e)(G e)^T of every element and gradient point, and the
+table of distinct quadrature radii |x|.  Every form is then the
+metric's radial profiles, evaluated once per distinct r|x| and
+gathered, two half-stored element kernels (weighted sums of the
+stiffness projectors; the weighted mass values times a fixed
+phi_i phi_j table), one ``np.bincount`` scatter into the upper entries
+and one gather through the mirror map, so every form is symmetric by
+construction.  A curved metric scatters K + r^2 M once per form.  On a
+flat metric the stiffness does not depend on r: the assembler keeps its
+scattered data, and the scattered f-mass data too when f is constant,
+so that H(r) = K + r^2 f M is one axpy of two kept vectors; see
+``Assembler``.
 The matrices are returned as exactly symmetric ``scipy.sparse``
 ``csc_matrix`` objects, the format the factorizations of ``spectral``
 read without a transposition.
@@ -202,31 +207,36 @@ class Assembler:
     Per mesh, once: element gradients G_t, quadrature points x, the
     interior pattern (the pairs of interior nodes sharing an element,
     indices sorted; symmetric, so its CSR and CSC arrays are the same),
-    the slot in its ``data`` of every element entry, the permutation
-    mapping ``data`` onto that of the transpose, the stiffness projectors
+    the slot among its upper entries of every upper element entry
+    (i <= j), the mirror map from each pattern entry to the upper entry
+    of its pair, the stiffness projectors
 
         P1_t = G_t G_t^T,   P2_tq = (G_t e_q)(G_t e_q)^T   (e = x/|x|, 0 at x = 0),
 
-    flattened to (ne, nv * nv) and (ne, qg, nv * nv), the sorted distinct
-    radii |x| of all quadrature points with each point's index into them,
-    and the Gram matrix, the scatter of (sum_q gw) P1_t.  Per call, with
-    gw = grad_w, (w, a) = ``metric.coefficients`` at r times the distinct
-    radii, gathered to the points, every form goes through two element
-    kernels
+    half-stored with the element index last, (nu, ne) and (qg, nu, ne)
+    for nu = nv (nv + 1) / 2 upper entries i <= j, the
+    sorted distinct radii |x| of all quadrature points with the index
+    into them of each gradient point and each mass point, and the Gram
+    matrix, the scatter of (sum_q gw) P1_t.  Per call, with gw = grad_w,
+    (w, a) = ``metric.coefficients`` at r times the distinct radii,
+    gathered to the points, every form goes through two half-stored
+    element kernels, each (ne, nu)
 
         stiffness  K_t = (sum_q gw a) P1_t + sum_q gw (w - a) P2_tq
-        mass       M_t = (mass_w w c)_t @ Phi,  Phi[q, i nv + j] = phi_i phi_j
+        mass       M_t = (mass_w w c)_t @ Phi,  Phi[q, k] = phi_i phi_j, (i, j) upper entry k
 
     with c = f for H(r) and c = dV/du(r x, u) for J(r, u).  ``h`` and
     ``boundary_flux`` share the element matrices K_t + r^2 M_t of H(r); the
-    flux applies their boundary-node rows to a vector extended by zero.
-    The mass and nonlinear terms read only w from the metric.  Element
-    matrices become ``data`` on the pattern by one ``np.bincount`` into the
-    slots followed by 0.5 (d + d[transpose]), which is exactly symmetric,
-    and a matrix is ``data`` wrapped as a ``csc_matrix`` on the pattern's
-    arrays; write data(X) for the ``data`` of element matrices X.  The
-    metric chooses the formula, so every form at r has the same bits
-    whatever was assembled before:
+    flux applies their boundary-node rows to a vector extended by zero,
+    and ``residual`` applies K_t column by column.  The mass and nonlinear
+    terms read only w from the metric.  Element matrices become ``data``
+    on the pattern by one ``np.bincount`` into the upper entries and one
+    gather through the mirror map: entries (i, j) and (j, i) read the same
+    float, so the matrix is symmetric by construction.  A matrix is
+    ``data`` wrapped as a ``csc_matrix`` on the pattern's arrays; write
+    data(X) for the ``data`` of element matrices X.  The metric chooses
+    the formula, so every form at r has the same bits whatever was
+    assembled before:
 
         curved   H, J = data(K + r^2 M), one scatter per form
         flat     H, J = data(K) + r^2 data(M), data(K) kept across radii
@@ -263,30 +273,39 @@ class Assembler:
         else:
             self._setup_2d()
         nv = mesh.elements.shape[1]
+        iu, ju = np.triu_indices(nv)                       # upper entries i <= j
+        self._full = np.empty((nv, nv), dtype=np.intp)     # (i, j) -> its upper entry
+        self._full[iu, ju] = self._full[ju, iu] = np.arange(iu.size)
         phi = self.mass_phi
-        self._phi2 = np.ascontiguousarray(
-            (phi[:, None, :] * phi[None, :, :]).reshape(nv * nv, -1).T
-        )                                                  # (qm, nv * nv)
+        self._phi2 = np.ascontiguousarray((phi[iu] * phi[ju]).T)   # (qm, nu)
         self._int_idx = np.flatnonzero(~mesh.boundary_nodes)
-        self._setup_scatter()
+        self._setup_scatter(iu, ju)
         self._flat = metric.kappa == 0.0
         # The metric depends on x only through |x| and e e^T (e = 0 at x = 0).
         # Many points share |x| (the 1D mesh is mirror-symmetric, the polar
         # one rotation-symmetric), so the profiles are evaluated once per
         # distinct radius and gathered.
+        qg = self.grad_w.shape[1]
         radius = np.hstack([np.linalg.norm(self.grad_pts, axis=2),
                             np.linalg.norm(self.mass_pts, axis=2)])   # (ne, qg + qm)
         self._radii, inverse = np.unique(radius, return_inverse=True)
-        self._radius_of = inverse.reshape(radius.shape).astype(np.int32)
-        qg = self.grad_w.shape[1]
+        inverse = inverse.reshape(radius.shape)
+        self._grad_radius = np.ascontiguousarray(inverse[:, :qg].T)   # (qg, ne)
+        self._mass_radius = np.ascontiguousarray(inverse[:, qg:])
         gr = radius[:, :qg, None]
         e = self.grad_pts / np.where(gr > 0.0, gr, 1.0)              # (ne, qg, d)
         G = self.grads                                                # (ne, nv, d)
-        ne = len(G)
-        Ge = e @ G.transpose(0, 2, 1)                                 # (ne, qg, nv)
-        self._P1 = (G @ G.transpose(0, 2, 1)).reshape(ne, -1)
-        self._P2 = (Ge[:, :, :, None] * Ge[:, :, None, :]).reshape(ne, qg, -1)
-        self._S = self._csc(self._data(self.grad_w.sum(axis=1)[:, None] * self._P1))
+        Ge = (e @ G.transpose(0, 2, 1)).transpose(2, 1, 0)           # (nv, qg, ne)
+        # The projectors are stored element index last, so that the
+        # per-radius sums over q run along contiguous rows of ne values.
+        # Each entry of P1 is a (1 x d)(d x 1) matmul, so that it rounds as
+        # the entry of the product G_t G_t^T does; a sum of elementwise
+        # products rounds differently in 2D.
+        self._P1 = np.ascontiguousarray(
+            (G[:, iu, None, :] @ G[:, ju, :, None])[:, :, 0, 0].T)         # (nu, ne)
+        self._P2 = np.ascontiguousarray(
+            (Ge[iu] * Ge[ju]).transpose(1, 0, 2))                          # (qg, nu, ne)
+        self._S = self._csc(self._data((self.grad_w.sum(axis=1) * self._P1).T))
         self._lu_S = None
         self._at_r = None  # (r, K, mass_w w, f, data(K), data(M)) of the last radius
 
@@ -326,29 +345,32 @@ class Assembler:
         self.mass_w = area[:, None] * _TRI7_W[None, :]
         self.mass_phi = _TRI7_BARY.T                       # (3, 7)
 
-    def _setup_scatter(self):
-        """Interior pattern, element-entry slots, transpose permutation.
+    def _setup_scatter(self, iu: np.ndarray, ju: np.ndarray):
+        """Interior pattern, upper element-entry slots, mirror gather.
 
-        Entry (t, i, j) of the flattened element matrices goes to slot
-        ``_slot[t * nv * nv + i * nv + j]`` of ``data``; entries touching
-        a boundary node go to the extra slot nnz, which is discarded.
+        Upper entry k of element t, the pair (iu[k], ju[k]) of its nodes,
+        goes to slot ``_slot[t * nu + k]`` of the pattern's upper entries
+        (row <= col, in pattern order); entries touching a boundary node
+        go to one extra slot past them, which is discarded.  ``_mirror``
+        maps every pattern entry to the upper entry of its pair.
         """
         n = self._int_idx.size
         dof = np.full(self.mesh.n_nodes, -1)
         dof[self._int_idx] = np.arange(n)
         dof = dof[self.mesh.elements]                          # (ne, nv)
-        nv = dof.shape[1]
-        rows = np.repeat(dof, nv, axis=1).ravel()
-        cols = np.tile(dof, (1, nv)).ravel()
-        inside = (rows >= 0) & (cols >= 0)
-        keys = rows.astype(np.int64) * n + cols
-        pattern, slot = np.unique(keys[inside], return_inverse=True)
-        nnz = pattern.size
+        a, b = dof[:, iu].ravel(), dof[:, ju].ravel()
+        lo, hi = np.minimum(a, b).astype(np.int64), np.maximum(a, b)
+        inside = lo >= 0
+        upper, slot = np.unique(lo[inside] * n + hi[inside], return_inverse=True)
+        urow, ucol = np.divmod(upper, n)
+        off = urow != ucol
+        pattern = np.sort(np.concatenate([upper, ucol[off] * n + urow[off]]))
         prow, pcol = np.divmod(pattern, n)
         self._indptr = np.searchsorted(prow, np.arange(n + 1)).astype(np.int32)
         self._indices = pcol.astype(np.int32)
-        self._transpose = np.searchsorted(pattern, pcol * n + prow)
-        self._slot = np.full(keys.size, nnz)
+        self._mirror = np.searchsorted(upper, np.minimum(prow, pcol) * n
+                                       + np.maximum(prow, pcol))
+        self._slot = np.full(a.size, upper.size)
         self._slot[inside] = slot
 
     # -- element kernels and scatter -------------------------------------------
@@ -389,14 +411,18 @@ class Assembler:
             # built, it would raise peak memory by one slot.
             slot = self._at_r = None
         if K is None:
-            qg = self.grad_w.shape[1]
-            wp, ag = w[self._radius_of], a[self._radius_of[:, :qg]]
-            wg = wp[:, :qg]
+            wg, ag = w.take(self._grad_radius), a.take(self._grad_radius)
             # A = a I + (w - a) e e^T, so G A G^T splits over the projectors;
-            # when w = a = 1 the second sum is exactly 0 and K_t the Gram kernel.
-            K = (self.grad_w * ag).sum(axis=1)[:, None] * self._P1
-            K += np.einsum("tq,tqk->tk", self.grad_w * (wg - ag), self._P2)
-            wq = self.mass_w * wp[:, qg:]
+            # when w = a = 1 the second sum is exactly 0 and K_t the Gram
+            # kernel.  Both sums run over q in index order.
+            gw = self.grad_w.T
+            ga, c = gw * ag, gw * (wg - ag)                           # (qg, ne)
+            s, E = ga[0], c[0] * self._P2[0]
+            for q in range(1, len(c)):
+                s = s + ga[q]
+                E += c[q] * self._P2[q]
+            K = np.ascontiguousarray((s * self._P1 + E).T)           # (ne, nu)
+            wq = self.mass_w * w.take(self._mass_radius)
             Kd = self._data(K) if self._flat else None
         if fq is None:
             fq = self._f_values(r)
@@ -415,14 +441,15 @@ class Assembler:
         return self._r_slot(r)[1:4]
 
     def _data(self, elem_mats: np.ndarray) -> np.ndarray:
-        """The pattern's ``data`` of the element matrices (ne, nv * nv),
-        exactly symmetric."""
-        nnz = self._indices.size
-        d = np.bincount(self._slot, weights=elem_mats.real.ravel(), minlength=nnz + 1)[:nnz]
+        """The pattern's ``data`` of the half-stored element matrices
+        (ne, nu): one scatter into the upper entries, mirrored onto the
+        whole pattern by one gather, so symmetric by construction."""
+        # Every upper entry receives an element entry, so the counts cover
+        # them all (and the discard slot after them, when it is used).
+        d = np.bincount(self._slot, weights=elem_mats.real.ravel())
         if np.iscomplexobj(elem_mats):  # np.bincount sums real weights only
-            d = d + 1j * np.bincount(self._slot, weights=elem_mats.imag.ravel(),
-                                     minlength=nnz + 1)[:nnz]
-        return 0.5 * (d + d[self._transpose])
+            d = d + 1j * np.bincount(self._slot, weights=elem_mats.imag.ravel())
+        return d[self._mirror]
 
     def _csc(self, data: np.ndarray) -> sp.csc_matrix:
         n = self.mesh.n_interior
@@ -450,7 +477,7 @@ class Assembler:
         return self._lu_S
 
     def _assemble(self, r: complex, K, Kd, mass: np.ndarray) -> sp.csc_matrix:
-        """K + r^2 M on the pattern from the mass kernel M_t (ne, nv * nv),
+        """K + r^2 M on the pattern from the mass kernel M_t (ne, nu),
         by the metric's formula: one scatter of K_t + r^2 M_t (curved, no
         kept data(K)), or data(K) plus r^2 times the scatter of M_t (flat)."""
         if Kd is None:
@@ -473,7 +500,9 @@ class Assembler:
         full[self._int_idx] = V
         K, wq, fq = self._r_data(r)
         He = K + r * r * ((wq * fq) @ self._phi2)
-        Fe = He.reshape(ne, nv, nv) @ full[self.mesh.elements]
+        # The full matrices, C-ordered by ``take``: a column gather would be
+        # Fortran-ordered, and the batched product rounds those differently.
+        Fe = He.take(self._full.ravel(), axis=1).reshape(ne, nv, nv) @ full[self.mesh.elements]
         sigma = np.zeros_like(full)
         np.add.at(sigma, self.mesh.elements.ravel(), Fe.reshape(ne * nv, -1))
         return sigma[self.mesh.boundary_nodes]
@@ -485,10 +514,19 @@ class Assembler:
 
     def residual(self, r: float, u: np.ndarray) -> np.ndarray:
         ue, uq = self._element_values(u)
-        ne, nv = ue.shape
+        nv = ue.shape[1]
         K, wq, fq = self._r_data(r)
-        Fe = np.einsum("eij,ej->ei", K.reshape(ne, nv, nv), ue)
-        Fe += r * r * ((wq * self.spec.v_values(fq, uq)) @ self.mass_phi.T)
+        # K_t ue_t column by column, each column one gather of the upper
+        # entries, summed first + last column, then the middle one: the
+        # order in which np.einsum("eij,ej->ei") sums a row of nv <= 3
+        # entries, so F is that product of the full matrices bit for bit.
+        first, *rest = (0, nv - 1, *range(1, nv - 1))
+        Fs = K[:, self._full[first]] * ue[:, first, None]
+        for j in rest:
+            Fs += K[:, self._full[j]] * ue[:, j, None]
+        # The gathers are Fortran-ordered; the scatter reads Fe C-ordered.
+        Fe = np.add(Fs, r * r * ((wq * self.spec.v_values(fq, uq)) @ self.mass_phi.T),
+                    order="C")
         F = np.bincount(
             self.mesh.elements.ravel(), weights=Fe.ravel(), minlength=self.mesh.n_nodes
         )

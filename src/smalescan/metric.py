@@ -60,18 +60,22 @@ class MetricModel:
 
 
 def _sin_ratio(kappa: float, t: np.ndarray) -> np.ndarray:
-    """q(t) = s_k(t)/t: the series s_k(t)/t = 1 - u/6 + u^2/120 - u^3/5040
-    in u = kappa t^2, replaced by the closed form where sqrt|kappa| Re t
-    reaches SERIES_CUTOFF.  At kappa = 0 the series is exactly 1.  Both
-    are analytic in t, so a complex step through them gives q'; below
-    the cutoff only the series keeps it, since sin(z)/z loses q' to
-    cancellation there."""
-    u = kappa * t * t
-    q = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
+    """q(t) = s_k(t)/t: the closed form where sqrt|kappa| Re t reaches
+    SERIES_CUTOFF, and below it the series s_k(t)/t = 1 - u/6 + u^2/120
+    - u^3/5040 in u = kappa t^2.  At kappa = 0 the series is exactly 1.
+    Both are analytic in t, so a complex step through them gives q';
+    below the cutoff only the series keeps it, since sin(z)/z loses q'
+    to cancellation there."""
     z = np.sqrt(abs(kappa)) * t
     far = z.real >= SERIES_CUTOFF
-    z = z[far]
-    q[far] = (np.sin(z) if kappa > 0.0 else np.sinh(z)) / z
+    q = np.empty_like(z)
+    zf = z[far]
+    q[far] = (np.sin(zf) if kappa > 0.0 else np.sinh(zf)) / zf
+    near = ~far
+    if near.any():
+        tn = t[near]
+        u = kappa * tn * tn
+        q[near] = 1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0
     return q
 
 

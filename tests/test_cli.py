@@ -175,6 +175,22 @@ class TestRun:
         assert err.count("\n") == 1
         assert not (out / "scan.csv").exists()
 
+    def test_unresolved_kernel_names_its_backward_error(self, tmp_path, capsys):
+        # sqrt(-kappa) = 632 on 6 rings: the profile varies by orders of
+        # magnitude across one ring, max|H| reaches 1e182 and the located
+        # vector is no kernel vector at all; the message says so.
+        path = tmp_path / "hyper.cfg"
+        path.write_text("metric.kappa = -400000\nproblem.f = -36\n"
+                        "mesh.dim = 2\nmesh.resolution = 6\n")
+        code = cli.main(["crossing", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("verification failure: kernel vector residual ")
+        assert "at r* = 0.6987520831738581 " in err
+        backward = float(err.split("componentwise backward error ")[1].rstrip(")\n"))
+        assert backward == pytest.approx(1.0, abs=0.005)
+
     def test_scan_that_raises_restores_the_allocator(self, config_file, tmp_path,
                                                      monkeypatch, fake_libc):
         drop_the_count(monkeypatch)

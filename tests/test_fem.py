@@ -120,15 +120,31 @@ class TestAssembleH:
 
     def test_symmetry(self):
         # Every form is exactly symmetric and returned in CSC, the format
-        # spectral factors without a transposition.
-        mesh = fem.build_mesh(2, 6)
-        asm = fem.Assembler(mesh, metric.MetricModel(1.0),
-                            problem.ProblemSpec(-9.0, 1.5))
-        u = np.random.default_rng(4).standard_normal(mesh.n_interior)
-        for H in (asm.h(0.7), asm.gram(), asm.jacobian(0.7, u)):
-            assert H.format == "csc"
-            assert (H != H.T).nnz == 0
-            assert np.max(np.abs((H - H.T).toarray())) == 0.0
+        # spectral factors without a transposition: each element matrix is
+        # stored once per unordered pair and the pattern's mirror entries
+        # read the same value.  That holds for both parts of the complex
+        # step, and J(r, 0) is H(r) bit for bit; in 1D and 2D, on flat and
+        # curved metrics, with a constant f and one that varies.
+        rng = np.random.default_rng(4)
+        for dim, res in ((1, 30), (2, 6)):
+            mesh = fem.build_mesh(dim, res)
+            u = rng.standard_normal(mesh.n_interior)
+            for kappa in (0.0, 1.0):
+                for f in ("-9", "-9 + 4*x1 - 2*r2"):
+                    spec = problem.ProblemSpec(problem.parse_field(f, dim), 1.5)
+                    asm = fem.Assembler(mesh, metric.MetricModel(kappa), spec)
+                    step = asm.h(0.7 + 0.7e-20j)
+                    assert np.abs(step.imag).max() > 0.0
+                    for H in (asm.h(0.7), asm.gram(), asm.jacobian(0.7, u),
+                              step.real, step.imag):
+                        assert H.format == "csc"
+                        assert (H != H.T).nnz == 0
+                        assert np.max(np.abs((H - H.T).toarray())) == 0.0
+                    J = asm.jacobian(0.7, np.zeros(mesh.n_interior))
+                    H = asm.h(0.7)
+                    assert np.array_equal(J.indptr, H.indptr)
+                    assert np.array_equal(J.indices, H.indices)
+                    assert np.array_equal(J.data, H.data)
 
     def test_curved_h_is_rotation_invariant(self):
         # Rotation by 60 degrees maps the polar-ring mesh onto itself
@@ -309,8 +325,9 @@ def test_profiles_read_from_distinct_radii(dim, res, kappa, r, monkeypatch):
     asm = fem.Assembler(mesh, met, problem.ProblemSpec(0.0))
     pts = np.concatenate([asm.grad_pts, asm.mass_pts], axis=1)
     radius = np.linalg.norm(pts, axis=2)
+    radius_of = np.hstack([asm._grad_radius.T, asm._mass_radius])
     assert asm._radii.size < radius.size
-    assert np.array_equal(asm._radii[asm._radius_of], radius)
+    assert np.array_equal(asm._radii[radius_of], radius)
     seen = []
     coefficients = metric.coefficients
 
@@ -323,8 +340,8 @@ def test_profiles_read_from_distinct_radii(dim, res, kappa, r, monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], r * asm._radii)
     w, a = coefficients(met, seen[0], dim)
     w_ref, a_ref = coefficients(met, r * radius, dim)
-    assert np.array_equal(w[asm._radius_of], w_ref)
-    assert np.array_equal(a[asm._radius_of], a_ref)
+    assert np.array_equal(w[radius_of], w_ref)
+    assert np.array_equal(a[radius_of], a_ref)
 
 
 @pytest.mark.parametrize("dim,res,kappa,f", [
