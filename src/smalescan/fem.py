@@ -113,52 +113,44 @@ def _build_mesh_1d(res: int) -> Mesh:
 
 def _build_mesh_2d(rings: int) -> Mesh:
     R = rings
-    nodes = [np.zeros(2)]
-    ring_start = [None]  # first node index of ring i
+    # Ring i holds 6i nodes from 1 + 3i(i - 1) on, and the strip inside it
+    # 6(2i - 1) triangles from 6(i - 1)^2 on.  Both arrays are allocated
+    # at full size first, so numpy refuses a ring count it cannot hold.
+    nodes = np.zeros((1 + 3 * R * (R + 1), 2))
+    elements = np.empty((6 * R * R, 3), dtype=int)
+    # Every triangle is listed counterclockwise (Assembler._setup_2d
+    # refuses any other).  Innermost fan around the center node.
+    fan = 1 + np.arange(6)
+    elements[:6] = np.column_stack([np.zeros(6, dtype=int), fan, np.roll(fan, -1)])
+    sextant = np.arange(6)[:, None]
     for i in range(1, R + 1):
-        ring_start.append(len(nodes))
+        s_in, s_out = 1 + 3 * (i - 1) * (i - 2), 1 + 3 * i * (i - 1)
         theta = 2.0 * np.pi * np.arange(6 * i) / (6 * i)
-        radius = i / R
-        ring = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+        ring = nodes[s_out:s_out + 6 * i]
+        ring[:, 0], ring[:, 1] = i / R * np.cos(theta), i / R * np.sin(theta)
         if i == R:
             # Pin boundary nodes exactly onto the unit circle.
             ring /= np.linalg.norm(ring, axis=1)[:, None]
-        nodes.extend(ring)
-    nodes = np.asarray(nodes)
-
-    elements = []
-    # Every triangle is listed counterclockwise (Assembler._setup_2d
-    # refuses any other).  Innermost fan around the center node.
-    s1 = ring_start[1]
-    for j in range(6):
-        elements.append((0, s1 + j, s1 + (j + 1) % 6))
-    # Strip between ring i-1 and ring i, built sextant by sextant so the
-    # pattern is invariant under rotation by 60 degrees.
-    for i in range(2, R + 1):
-        s_in, s_out = ring_start[i - 1], ring_start[i]
-        m_in, m_out = 6 * (i - 1), 6 * i
-        for k in range(6):
-            for j in range(i):
-                o0 = s_out + (k * i + j) % m_out
-                o1 = s_out + (k * i + j + 1) % m_out
-                a = s_in + (k * (i - 1) + j) % m_in
-                elements.append((o0, o1, a))
-            for j in range(i - 1):
-                a0 = s_in + (k * (i - 1) + j) % m_in
-                a1 = s_in + (k * (i - 1) + j + 1) % m_in
-                o1 = s_out + (k * i + j + 1) % m_out
-                elements.append((a0, o1, a1))
-    elements = np.asarray(elements, dtype=int)
-
-    boundary = np.zeros(len(nodes), dtype=bool)
-    boundary[ring_start[R]:] = True
+        if i == 1:
+            continue
+        # Strip between ring i-1 and ring i, built sextant by sextant so the
+        # pattern is invariant under rotation by 60 degrees: i triangles
+        # (o_j, o_j+1, a_j), then i - 1 triangles (a_j, o_j+1, a_j+1).
+        o = s_out + (sextant * i + np.arange(i + 1)) % (6 * i)
+        a = s_in + (sextant * (i - 1) + np.arange(i)) % (6 * (i - 1))
+        strip = np.concatenate([np.stack([o[:, :-1], o[:, 1:], a], axis=-1),
+                                np.stack([a[:, :-1], o[:, 1:-1], a[:, 1:]], axis=-1)], axis=1)
+        elements[6 * (i - 1) ** 2:6 * i * i] = strip.reshape(-1, 3)
 
     # The outer ring is the boundary polygon, its nodes in order; each
     # gets half of its two edges.
-    ring = nodes[ring_start[R]:]
+    outer = 1 + 3 * R * (R - 1)
+    boundary = np.zeros(len(nodes), dtype=bool)
+    boundary[outer:] = True
+    ring = nodes[outer:]
     edge = np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1)
     weights = np.zeros(len(nodes))
-    weights[ring_start[R]:] = 0.5 * (edge + np.roll(edge, 1))
+    weights[outer:] = 0.5 * (edge + np.roll(edge, 1))
     return Mesh(
         dim=2,
         nodes=nodes,

@@ -25,8 +25,8 @@ permutations, finite pivots and pivot growth, and raises
 
 Every integer question about the pencil (H, S) is a negative count;
 ``kernel_eigenpairs`` only returns a kernel basis at a located
-degeneracy, by shift-invert block inverse iteration at zero.  A refused
-factor of H is raised, not retried at a shift.
+degeneracy, by ARPACK's shift-invert Lanczos at zero on the factor of
+H.  A refused factor of H is raised, not retried at a shift.
 """
 
 from __future__ import annotations
@@ -47,10 +47,8 @@ __all__ = [
     "kernel_eigenpairs",
 ]
 
-# Inverse iteration in ``kernel_eigenpairs``: absolute tolerance on the
-# Ritz values (pencil eigenvalues, which carry no unit), sweep limit,
-# and the fixed seed of the start block.
-KERNEL_TOL = 1e-11
+# Shift-invert Lanczos in ``kernel_eigenpairs``: ARPACK's restart bound
+# and the fixed seed of the start vector.
 KERNEL_MAX_SWEEPS = 60
 KERNEL_SEED = 20240801
 
@@ -284,55 +282,24 @@ def kernel_eigenpairs(H, S, k: int) -> np.ndarray:
     eigenvalues of (H, S), by shift-invert at 0, in ascending eigenvalue
     order.
 
-    Block inverse iteration with ``factor(H)`` and Rayleigh-Ritz
-    extraction; deterministic through the fixed seed.  Converges in a
-    few sweeps whenever the eigenvalues nearest zero are well separated
-    from the rest, which is exactly the regime it is used in: kernel
-    bases at a located degeneracy.  A sweep converges when the k Ritz
-    values agree with the previous sweep's to rtol 1e-13 or
-    ``KERNEL_TOL``; if ``KERNEL_MAX_SWEEPS`` sweeps end without that,
-    ``FactorizationError`` is raised rather than an unconverged basis
-    returned.
+    ARPACK's shift-invert Lanczos (``eigsh`` with sigma 0) on
+    ``factor(H)``, with k + 2 Lanczos vectors, a seeded start vector and
+    at most ``KERNEL_MAX_SWEEPS`` restarts; a run that does not converge
+    raises ``FactorizationError`` rather than return an unconverged
+    basis.  It is used where the eigenvalues nearest zero are well
+    separated from the rest: kernel bases at a located degeneracy.  With
+    k = n, which ARPACK does not take, the pencil is solved densely.
     """
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k = {k}")
-    Hc = sp.csc_matrix(H)
-    Sc = sp.csc_matrix(S)
-    lu = factor(Hc)
-
-    rng = np.random.default_rng(KERNEL_SEED)
-    block = min(n, k + 2)
-    X = rng.standard_normal((n, block))
-    theta_old = None
-    for _ in range(KERNEL_MAX_SWEEPS):
-        Y = lu.solve(Sc @ X)
-        # S-orthonormalize the block.  Near a kernel the solve scales its
-        # direction by about 1/lambda, squaring the condition of Y^T S Y;
-        # a refused Cholesky is retried once on an orthonormal basis of Y.
-        for attempt in range(2):
-            G = Y.T @ (Sc @ Y)
-            try:
-                C = la.cholesky(0.5 * (G + G.T), lower=True)
-                break
-            except la.LinAlgError as exc:
-                if attempt:
-                    raise FactorizationError(f"kernel block lost rank: {exc}") from exc
-                Y = la.qr(Y, mode="economic")[0]
-        Y = la.solve_triangular(C, Y.T, lower=True).T
-        T = Y.T @ (Hc @ Y)
-        theta, Q = la.eigh(0.5 * (T + T.T))
-        X = Y @ Q
-        order = np.argsort(np.abs(theta), kind="stable")
-        theta = theta[order]
-        X = X[:, order]
-        if theta_old is not None and np.allclose(
-            theta[:k], theta_old[:k], rtol=1e-13, atol=KERNEL_TOL
-        ):
-            break
-        theta_old = theta
-    else:
-        raise FactorizationError(
-            f"inverse iteration did not converge in {KERNEL_MAX_SWEEPS} sweeps"
-        )
-    return X[:, np.argsort(theta[:k], kind="stable")]
+    if k == n:
+        return la.eigh(H.toarray(), S.toarray())[1]
+    solve = spla.LinearOperator((n, n), matvec=factor(H).solve, dtype=float)
+    start = np.random.default_rng(KERNEL_SEED).standard_normal(n)
+    try:
+        theta, X = spla.eigsh(H, k, M=S, sigma=0.0, OPinv=solve, v0=start,
+                              ncv=min(n, k + 2), maxiter=KERNEL_MAX_SWEEPS)
+    except spla.ArpackNoConvergence as exc:
+        raise FactorizationError(f"kernel eigensolve did not converge: {exc}") from exc
+    return X[:, np.argsort(theta, kind="stable")]

@@ -165,6 +165,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("numerical breakdown:") and err.count("\n") == 1
 
+    def test_unconverged_kernel_eigensolve_exits_2(self, config_file, tmp_path,
+                                                    monkeypatch, capsys):
+        def unconverged(A, k, **kwargs):
+            raise spla.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(spectral.spla, "eigsh", unconverged)
+        code = cli.main(["crossing", "--config", str(config_file),
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.startswith("numerical breakdown: kernel eigensolve did not converge")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_count_drop_exits_2(self, config_file, tmp_path, monkeypatch, capsys):
         # 0 -> 2 -> 1 across the grid used to be written to scan.csv with exit 0
         drop_the_count(monkeypatch)
@@ -581,13 +595,18 @@ class TestMainEntry:
         assert not out.exists()
 
     # Meshes whose allocation numpy refuses at once, as for the scan grid
-    # above.  A huge 2D ring count is not refused at once, because the
-    # polar mesh is built ring by ring, so it is not tried here.
-    @pytest.mark.parametrize("resolution", [10 ** 17, 10 ** 19])
-    def test_unallocatable_1d_mesh_exits_1(self, tmp_path, capsys, resolution):
+    # above; the polar mesh allocates all of its 1 + 3R(R + 1) nodes and
+    # 6R^2 triangles before it builds a ring.
+    @pytest.mark.parametrize("dim, resolution", [
+        pytest.param(1, 10 ** 17, id=str(10 ** 17)),
+        pytest.param(1, 10 ** 19, id=str(10 ** 19)),
+        pytest.param(2, 10 ** 17, id=f"2d-{10 ** 17}"),
+        pytest.param(2, 10 ** 19, id=f"2d-{10 ** 19}"),
+    ])
+    def test_unallocatable_1d_mesh_exits_1(self, tmp_path, capsys, dim, resolution):
         path = tmp_path / "huge.cfg"
-        path.write_text(CONFIG_1D.replace("mesh.resolution = 400",
-                                          f"mesh.resolution = {resolution}"))
+        path.write_text(CONFIG_1D.replace("mesh.dim = 1\nmesh.resolution = 400",
+                                          f"mesh.dim = {dim}\nmesh.resolution = {resolution}"))
         out = tmp_path / "o"
         code = cli.main(["scan", "--config", str(path), "--out", str(out)])
         assert code == cli.EXIT_USAGE
