@@ -20,9 +20,10 @@ direction's failure or intercept.
 
 ``Pipeline.scan`` runs the grid inside ``spectral._kept_heap``: on glibc
 the memory each count's factorization frees stays in the heap for the
-next count, and is trimmed when the scan ends.  Nothing else runs
-inside it, so the stages after the scan, and any library caller, keep
-the allocator's usual policy.  Only where the memory comes from
+next count, and is trimmed when the scan ends (a 1D scan factors
+nothing; see ``spectral.inertia``).  Nothing else runs inside it, so
+the stages after the scan, and any library caller, keep the
+allocator's usual policy.  Only where the memory comes from
 changes; every count and output is the same.
 """
 
@@ -197,11 +198,25 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_text(path: Path, text: str):
+    """Write ``text`` to ``path`` as a new file.
+
+    An existing regular file is unlinked first: truncating it in place
+    makes ext4 (``auto_da_alloc``) flush it when it is closed, about
+    65 ms a file on a rerun into the same directory.  A directory or a
+    symlink at ``path`` is left to the write, which fails on the one and
+    follows the other.
+    """
+    if path.is_file() and not path.is_symlink():
+        path.unlink()
+    path.write_text(text)
+
+
 def _write_csv(path: Path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 class Pipeline:
@@ -313,7 +328,7 @@ class Pipeline:
         ]
         for r_star, m in rep.conjugate_list:
             lines.append(f"r_star={_fmt(r_star)} multiplicity={m}")
-        (self.out / "index_report.txt").write_text("\n".join(lines) + "\n")
+        _write_text(self.out / "index_report.txt", "\n".join(lines) + "\n")
 
     def write_branches(self, traces):
         for cj, pair in traces:
@@ -413,7 +428,7 @@ def _run_stages(pipe: Pipeline, subcommand: str) -> int:
                     )
                     code = EXIT_VERIFY
     except DegenerateRadiusOneError as exc:
-        (pipe.out / "index_report.txt").write_text(f"ABORT degenerate_at_r1: {exc}\n")
+        _write_text(pipe.out / "index_report.txt", f"ABORT degenerate_at_r1: {exc}\n")
         print(f"degenerate endpoint: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except VerificationError as exc:

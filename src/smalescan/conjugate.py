@@ -139,11 +139,13 @@ class IndexReport:
 def _n_neg_evaluator(asm: Assembler):
     """Closure r -> n_neg(H(r)), the one negative count of the package.
 
-    Counts strictly by pivot sign.  A rejected sparse factorization
-    (an exactly zero diagonal pivot or pivot growth) occurs only on a
-    measure-zero set of radii; a deterministic nudge of relative size
-    1e-9, toward the interior of (0, 1], moves off it without affecting
-    any located quantity (bisection tolerances are 1e-8 and coarser).
+    Counts strictly by sign: by Sturm's recurrence on a 1D mesh, by the
+    pivots of a sparse factorization otherwise or when the factor is kept
+    (see ``spectral.inertia``).  A rejected factorization (an exactly
+    zero diagonal pivot or pivot growth) occurs only on a measure-zero
+    set of radii; a deterministic nudge of relative size 1e-9, toward
+    the interior of (0, 1], moves off it without affecting any located
+    quantity (bisection tolerances are 1e-8 and coarser).
     The closure's ``keep`` attribute is None; set to a one-element list,
     it receives the factor of each count (see ``spectral.inertia``).
     """
@@ -246,7 +248,7 @@ def _secant_probe(lo: float, hi: float, samples, tol: float):
 
 
 def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol,
-            eigenvalue=None) -> List[Tuple[float, float, int, int]]:
+            eigenvalue) -> List[Tuple[float, float, int, int]]:
     """Shrink [r_lo, r_hi] around each crossing down to width <= tol.
 
     Returns final brackets (lo, hi, n_lo, n_hi).  Every probe's count
@@ -255,15 +257,14 @@ def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol,
     A probe count outside [n_lo, n_hi] contradicts monotonicity and is
     raised.
 
-    ``eigenvalue()``, when given, returns the pencil eigenvalue nearest
-    zero at the radius just counted (or None).  Its samples place the
+    ``eigenvalue()`` returns the pencil eigenvalue nearest zero at the
+    radius just counted, or None when it has none.  Its samples place the
     probes by a safeguarded secant (``_secant_probe``): a sample counts
     only if its sign matches the side it landed on (positive below the
     crossing, negative above).  The midpoint is probed instead when the
     secant zero leaves the bracket, when fewer than two samples exist,
     and when the last two probes together did not halve the bracket, so
     the bracket shrinks at least as fast as every other bisection step.
-    Without ``eigenvalue`` every probe is the midpoint (bisection).
     """
     stack = [(r_lo, n_lo, r_hi, n_hi, [])]
     final = []
@@ -278,7 +279,7 @@ def _bisect(n_neg, r_lo, n_lo, r_hi, n_hi, tol,
                 r = 0.5 * (lo + hi)
             widths.append(hi - lo)
             n = n_neg(r)
-            lam = eigenvalue() if eigenvalue is not None else None
+            lam = eigenvalue()
             _check_rise(lo, nlo, r, n)
             _check_rise(r, n, hi, nhi)
             below = lam is not None and lam > 0.0

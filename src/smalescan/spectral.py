@@ -1,25 +1,40 @@
 """Negative counts and kernel eigenpairs for the pencil (H, S).
 
-One sparse factorization serves the whole package: ``factor`` runs
-SuperLU restricted to diagonal pivots under a fill-reducing symmetric
-ordering, and raises ``FactorizationError`` when SuperLU refuses.  The
-negative count, the kernel eigensolve, the Gram solve and the Newton
-step all use it.  Every matrix of one mesh shares one sparsity pattern,
-so the fill-reducing ordering (SuperLU's minimum degree on H + H^T) is
-found once per pattern and kept, with the pattern's transpose map (the
-``data`` index of every entry's mirror); each factorization then
-gathers the values into the permuted pattern and factors it in natural
-order.  A matrix already in CSC form, as ``fem.Assembler`` returns it,
-is factored without a transposition or copy.
+One sparse factorization serves every solve in the package: ``factor``
+runs SuperLU restricted to diagonal pivots under a fill-reducing
+symmetric ordering, and raises ``FactorizationError`` when SuperLU
+refuses.  The kernel eigensolve, the Gram solve, the Newton step and
+every negative count outside the tridiagonal band use it.  Every matrix
+of one mesh shares one sparsity pattern, so the fill-reducing ordering
+(SuperLU's minimum degree on H + H^T) is found once per pattern and
+kept, with the pattern's transpose map (the ``data`` index of every
+entry's mirror) and, for a pattern inside the band |i - j| <= 1, the
+``data`` positions of its diagonal and first subdiagonal; each
+factorization then gathers the values into the permuted pattern and
+factors it in natural order.  A matrix already in CSC form, as
+``fem.Assembler`` returns it, is factored without a transposition or
+copy.
 
-The negative count n_neg(H) is the number of negative pivots of that
-factorization (Sylvester's law of inertia), counted strictly by sign:
-a tolerance band around zero would bias every radius located by
-bisection on the count by the band width.  When the row and column
-permutations agree the factor is P^T H P = L D L^T with D the diagonal
-of U.  Every count first checks symmetry, as max |d - d[transpose]|
-over the values d with that map, and raises ``ValueError`` on an
-asymmetric matrix before anything is factored.  It then checks the
+The negative count n_neg(H) is counted strictly by sign: a tolerance
+band around zero would bias every radius located by bisection on the
+count by the band width.  Every count first checks symmetry, as
+max |d - d[transpose]| over the values d with that map, and raises
+``ValueError`` on an asymmetric matrix before anything is counted.
+
+A tridiagonal H (every 1D mesh) is counted by Sturm's recurrence
+d_i = a_i - b_i^2 / d_{i-1}, LAPACK's ``dstebz`` on the interval
+(below Gershgorin, 0], in O(n) without a factorization (Kahan 1966).
+The recurrence is the LDL^T that SuperLU forms on a tridiagonal, so the
+counts agree except within rounding of a singular matrix; it is
+backward stable with no pivot-growth condition, so the LU checks below
+do not apply to it.  An exactly singular tridiagonal counts its zero
+eigenvalue as negative (LAPACK's pivmin rule), where the LU route
+refuses the singular factor.  Non-finite entries are refused.
+
+Any other H, and every count whose factor is kept for further solves,
+is the number of negative pivots of the factorization (Sylvester's law
+of inertia).  When the row and column permutations agree the factor is
+P^T H P = L D L^T with D the diagonal of U.  The count checks the
 permutations, finite pivots and pivot growth, and raises
 ``FactorizationError`` rather than return a count it cannot vouch for.
 
@@ -28,11 +43,11 @@ Every integer question about the pencil (H, S) is a negative count;
 degeneracy, by ARPACK's shift-invert Lanczos at zero on the factor of
 H.  A refused factor of H is raised, not retried at a shift.
 """
-
 from __future__ import annotations
 
 import contextlib
 import os
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as la
@@ -110,14 +125,31 @@ def _transpose_map(A: sp.csc_matrix) -> np.ndarray:
     return np.where(key[k] == mirror, k, A.nnz)
 
 
-def _pattern_order(A: sp.csc_matrix):
-    """A's pattern, its fill-reducing order, the permuted pattern and
-    A's transpose map.
+def _band(A: sp.csc_matrix):
+    """Indices in A's ``data`` of the diagonal (n) and of the first
+    subdiagonal (n - 1), nnz where an entry is absent; None unless every
+    entry (i, j) of A has |i - j| <= 1."""
+    n = A.shape[0]
+    col = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
+    off = A.indices - col
+    if np.any(np.abs(off) > 1):
+        return None
+    diag, sub = np.full(n, A.nnz), np.full(n - 1, A.nnz)
+    on = off == 0
+    diag[col[on]] = np.flatnonzero(on)
+    below = off == 1
+    sub[col[below]] = np.flatnonzero(below)
+    return diag, sub
+
+
+def _fill_order(A: sp.csc_matrix):
+    """A's fill-reducing order p, the pattern of P^T A P (``indptr``,
+    ``indices``) and ``gather``, which maps A's ``data`` onto that of
+    P^T A P.
 
     The order is the column order of SuperLU's ``MMD_AT_PLUS_A`` factor
-    of A itself; ``gather`` maps A's ``data`` onto that of P^T A P.
+    of A itself.
     """
-    transpose = _transpose_map(A)
     p = np.argsort(_splu(A, "MMD_AT_PLUS_A").perm_c)
     # Entry k of A carries the value k + 1 (never zero, so never dropped)
     # through the permutation.
@@ -126,26 +158,40 @@ def _pattern_order(A: sp.csc_matrix):
     )
     B = sp.csc_matrix(slots[p][:, p])
     B.sort_indices()
-    gather = B.data.astype(np.int64) - 1
-    return A.indptr.copy(), A.indices.copy(), p, B.indptr, B.indices, gather, transpose
+    return p, B.indptr, B.indices, B.data.astype(np.int64) - 1
 
 
-# Pattern of the last matrix factored, its order and its transpose map,
-# as returned by ``_pattern_order``.  Read once per call and replaced as
-# a whole tuple, so concurrent factorizations race at most into a
-# recomputation.  The order depends on the pattern alone and every
-# factor is made in natural order on the permuted matrix, so no factor
-# depends on what the slot held before.
+class _Slot(NamedTuple):
+    """What is kept of one sparsity pattern: the pattern, its transpose
+    map, its band positions (``_band``) and its ``_fill_order``, None
+    until a matrix of the pattern is factored."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    transpose: np.ndarray
+    band: Optional[Tuple[np.ndarray, np.ndarray]]
+    order: Optional[tuple]
+
+
+# The slot of the last pattern counted or factored.  Read once per call
+# and replaced as a whole tuple, so concurrent counts race at most into
+# a recomputation.  The slot depends on the pattern alone and every
+# factor is made in natural order on the permuted matrix, so no count or
+# factor depends on what the slot held before.
 _order = None
 
 
-def _held(A: sp.csc_matrix):
-    """The slot if it holds A's pattern (compared exactly), else None."""
+def _slot(A: sp.csc_matrix) -> _Slot:
+    """The held slot if it holds A's pattern (compared exactly); else a
+    new slot of that pattern, without an order, which is held."""
+    global _order
     slot = _order
-    if (slot is not None and np.array_equal(slot[0], A.indptr)
-            and np.array_equal(slot[1], A.indices)):
+    if (slot is not None and np.array_equal(slot.indptr, A.indptr)
+            and np.array_equal(slot.indices, A.indices)):
         return slot
-    return None
+    slot = _order = _Slot(A.indptr.copy(), A.indices.copy(), _transpose_map(A),
+                          _band(A), None)
+    return slot
 
 
 def factor(H) -> Factor:
@@ -154,23 +200,22 @@ def factor(H) -> Factor:
     ``H`` is any square matrix, dense or sparse; it is factorized as a
     CSC matrix, and a float ``csc_matrix`` (as ``fem.Assembler`` returns)
     is read without a copy.  The order is SuperLU's minimum degree on
-    H + H^T, found on the first matrix of a sparsity pattern and reused
-    while the pattern (``indptr`` and ``indices``, compared exactly)
-    repeats; the permuted matrix is factored in natural order.  A
-    refusal raises ``FactorizationError``.
+    H + H^T, found on the first matrix of a sparsity pattern factored and
+    reused while the pattern (``indptr`` and ``indices``, compared
+    exactly) repeats; the permuted matrix is factored in natural order.
+    A refusal raises ``FactorizationError``.
     """
     A = _csc(H)
-    return _factor(A, _held(A))
+    return _factor(A, _slot(A))
 
 
-def _factor(A: sp.csc_matrix, slot) -> Factor:
-    """``factor`` of A, a matrix from ``_csc``, with ``slot`` as
-    ``_held(A)`` returned it; None makes and holds the slot of A's
-    pattern."""
+def _factor(A: sp.csc_matrix, slot: _Slot) -> Factor:
+    """``factor`` of A, a matrix from ``_csc``, with the slot of its
+    pattern; a slot without an order gets A's and is held."""
     global _order
-    if slot is None:
-        slot = _order = _pattern_order(A)
-    _, _, p, indptr, indices, gather, _ = slot
+    if slot.order is None:
+        slot = _order = slot._replace(order=_fill_order(A))
+    p, indptr, indices, gather = slot.order
     B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
     return Factor(_splu(B, "NATURAL"), p)
 
@@ -240,16 +285,23 @@ def _kept_heap():
 
 
 def inertia(H, keep=None) -> int:
-    """Negative count n_neg(H) of a symmetric matrix: pivots below zero.
+    """Negative count n_neg(H) of a symmetric matrix: eigenvalues below
+    zero.
 
-    H is refused with ``ValueError`` before any factorization unless
+    H is refused with ``ValueError`` before any count unless
     max |H_ij - H_ji| <= 1e-12 max|H|, read from the pattern's transpose
-    map (kept with its order; an absent mirror reads as 0).  SuperLU
-    leaves the diagonal only on an exactly zero pivot, which shows as
-    perm_r != perm_c; that, a singular factor, pivot growth beyond
-    1e12 max(max|H|, 1) and non-finite pivots are raised, never counted
-    (see the module docstring).  ``keep``, a one-element list, receives
-    the factor of a count, for further solves with H.
+    map (kept with the pattern; an absent mirror reads as 0).  ``keep``, a
+    one-element list, receives the factor of a count, for further solves
+    with H.
+
+    Without ``keep``, a pattern inside the tridiagonal band is counted
+    by Sturm's recurrence (``_sturm_count``), which refuses non-finite
+    entries and counts an exactly zero eigenvalue as negative.  Any
+    other count is the number of negative pivots of ``factor(H)``.
+    SuperLU leaves the diagonal only on an exactly zero pivot, which
+    shows as perm_r != perm_c; that, a singular factor, pivot growth
+    beyond 1e12 max(max|H|, 1) and non-finite pivots are raised, never
+    counted (see the module docstring).
     """
     if H.shape[0] != H.shape[1]:
         raise ValueError("inertia requires a square matrix")
@@ -258,10 +310,11 @@ def inertia(H, keep=None) -> int:
     scale = float(max(d.max(), -d.min())) if A.nnz else 0.0
     if scale == 0.0:
         return 0
-    slot = _held(A)
-    transpose = _transpose_map(A) if slot is None else slot[6]
-    if np.abs(d - np.append(d, 0.0)[transpose]).max() > 1e-12 * scale:
+    slot = _slot(A)
+    if np.abs(d - np.append(d, 0.0)[slot.transpose]).max() > 1e-12 * scale:
         raise ValueError("inertia requires a symmetric matrix")
+    if keep is None and slot.band is not None:
+        return _sturm_count(d, slot.band, scale)
     F = _factor(A, slot)
     lu = F.lu
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -275,6 +328,30 @@ def inertia(H, keep=None) -> int:
     if keep is not None:
         keep[0] = F
     return int(np.sum(pivots < 0.0))
+
+
+def _sturm_count(d: np.ndarray, band, scale: float) -> int:
+    """Eigenvalues <= 0 of the symmetric tridiagonal matrix whose
+    ``data`` d holds its diagonal and subdiagonal at the positions
+    ``band`` (``_band``), with max|d| = ``scale``.
+
+    LAPACK's ``dstebz`` Sturm count on (-3 scale - 1, 0], below
+    Gershgorin's bound, with the interval's width as tolerance, so no
+    eigenvalue is refined.  A zero pivot of the recurrence is replaced
+    by -pivmin (LAPACK's rule), so an exactly zero eigenvalue counts as
+    negative.
+    """
+    if not np.all(np.isfinite(d)):
+        raise FactorizationError("non-finite entries in tridiagonal count")
+    padded = np.append(d, 0.0)
+    a, b = padded[band[0]], padded[band[1]]
+    if len(a) == 1:
+        return int(a[0] < 0.0)
+    low = -3.0 * scale - 1.0
+    m, _, _, _, info = la.lapack.dstebz(a, b, 1, low, 0.0, 1, 1, -low, "B")
+    if info != 0:
+        raise FactorizationError(f"tridiagonal count failed with info = {info}")
+    return int(m)
 
 
 def kernel_eigenpairs(H, S, k: int) -> np.ndarray:

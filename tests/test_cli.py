@@ -363,11 +363,12 @@ class TestRun:
 
     def test_every_factorization_uses_the_inertia_options(self, config_file, tmp_path,
                                                           monkeypatch):
-        # Negative count, kernel eigensolve, Gram solve and Newton step
-        # share one factorization with diagonal pivots.  All their matrices
-        # share one sparsity pattern, so a run that starts from an empty
-        # order slot finds the MMD order once and factors in natural order
-        # on the permuted pattern from then on.
+        # Bisection probes, kernel eigensolve, Gram solve and Newton step
+        # share one factorization with diagonal pivots; the bare counts of
+        # this 1D run (scan and r = 1 check) are Sturm counts and factor
+        # nothing.  All the matrices share one sparsity pattern, so a run
+        # that starts from an empty slot finds the MMD order once and
+        # factors in natural order on the permuted pattern from then on.
         splu = spla.splu
         options = []
 
@@ -395,6 +396,29 @@ class TestRun:
             if (out1 / name).exists():
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / "conjugate.csv").read_bytes() == (out2 / "conjugate.csv").read_bytes()
+
+    def test_rerun_into_the_same_directory_writes_the_same_bytes(self, config_file,
+                                                                 tmp_path):
+        # The rerun replaces each file by a new one: a hard link to the
+        # old scan.csv keeps its stale text, and no stale tail survives.
+        # A symlink is written through, as a plain write does.
+        out = tmp_path / "o"
+        assert cli.run("all", config_file, out_dir=out) == cli.EXIT_OK
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"scan.csv", "conjugate.csv", "index_report.txt"} <= set(first)
+        stale = "stale\n" * 10000
+        (out / "scan.csv").write_text(stale)
+        kept = tmp_path / "kept"
+        kept.hardlink_to(out / "scan.csv")
+        target = tmp_path / "target.csv"
+        target.write_text(stale)
+        (out / "conjugate.csv").unlink()
+        (out / "conjugate.csv").symlink_to(target)
+        assert cli.run("all", config_file, out_dir=out) == cli.EXIT_OK
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert kept.read_text() == stale
+        assert (out / "conjugate.csv").is_symlink()
+        assert target.read_bytes() == first["conjugate.csv"]
 
     @pytest.mark.parametrize("via", ["--out", "output.dir"])
     def test_output_dir_naming_a_file_exits_1(self, config_file, tmp_path, capsys, via):

@@ -187,7 +187,7 @@ class TestLocate:
             return 0 if r < 0.3 else (2 if r < 0.6 else 1)
 
         with pytest.raises(conjugate.VerificationError, match=r"drops from 2 at r = 0\.5"):
-            conjugate._bisect(n_neg, 0.0, 0, 1.0, 1, 1e-8)
+            conjugate._bisect(n_neg, 0.0, 0, 1.0, 1, 1e-8, lambda: None)
 
     def test_bisection_of_a_scan_cell_raises_on_count_drop(self, osc_1d, monkeypatch):
         # 0 -> 3 -> 2 on [0.1, 0.9]: the first bisection midpoint sees the drop

@@ -37,8 +37,10 @@ def flat_assembler(mesh):
 class TestInertia:
     def test_diagonal_example(self):
         # An exactly zero pivot counts as nonnegative in the dense
-        # reference; the sparse route refuses the singular factor.
-        A = np.diag([-2.0, 0.0, 3.0])
+        # reference; the factorization refuses the singular factor.  The
+        # pattern of A lies outside the tridiagonal band, so the count
+        # factors; a band is Sturm-counted (see TestSturmCount).
+        A = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 1.0]])  # -1, 0, 3
         assert reference.bunch_kaufman_inertia(A) == 1
         with pytest.raises(spectral.FactorizationError):
             spectral.inertia(A)
@@ -101,14 +103,15 @@ class TestInertia:
 
     def test_sparse_zero_diagonal_raises(self):
         # no diagonal pivot order exists: SuperLU pivots off the diagonal
-        # and the count must be refused instead of misclassified
-        H = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(spectral.FactorizationError):
+        # and the count must be refused instead of misclassified.  The
+        # swap of unknowns 0 and 2 lies outside the tridiagonal band.
+        H = sp.csr_matrix(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+        with pytest.raises(spectral.FactorizationError, match="zero diagonal pivot"):
             spectral.inertia(H)
 
     def test_sparse_pivot_growth_raises(self):
-        H = sp.csr_matrix(np.array([[1e-14, 1.0], [1.0, 1e-14]]))
-        with pytest.raises(spectral.FactorizationError):
+        H = sp.csr_matrix(np.array([[1e-14, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1e-14]]))
+        with pytest.raises(spectral.FactorizationError, match="pivot growth"):
             spectral.inertia(H)
 
     def test_held_pattern_refuses_asymmetry_before_factoring(self, monkeypatch):
@@ -154,6 +157,99 @@ class TestInertia:
                 reference.bunch_kaufman_inertia(H.toarray()))
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("unexpected call")
+
+
+class TestSturmCount:
+    """Bare counts of a tridiagonal pattern: LAPACK's Sturm count."""
+
+    @pytest.fixture
+    def no_factor(self, monkeypatch):
+        monkeypatch.setattr(spectral.spla, "splu", refuse)
+
+    def test_matches_dense_across_radii_without_a_factorization(self, no_factor):
+        asm = fem.Assembler(fem.build_mesh(1, 300), metric.MetricModel(),
+                            problem.ProblemSpec(-(2.3 * np.pi) ** 2))
+        for r in np.linspace(1e-3, 1.0, 41):
+            H = asm.h(r)
+            expect = reference.bunch_kaufman_inertia(H)
+            assert spectral.inertia(H) == spectral.inertia(H.tocsr()) == expect
+
+    def test_former_lu_refusals_count_correctly(self, no_factor):
+        # Inputs that the factorization refuses on a wider pattern (see
+        # TestInertia): in the band the Sturm count has no pivot-growth
+        # or pivot-order condition.
+        for A in ([[0.0, 1.0], [1.0, 0.0]], [[1e-14, 1.0], [1.0, 1e-14]]):
+            A = np.array(A)
+            assert spectral.inertia(A) == reference.bunch_kaufman_inertia(A) == 1
+
+    def test_zero_eigenvalue_counts_as_negative(self, no_factor):
+        # LAPACK's pivmin rule: the dense reference counts it as
+        # nonnegative.  The same count on first sight and from the slot.
+        D = np.diag([-2.0, 0.0, 3.0])
+        assert reference.bunch_kaufman_inertia(D) == 1
+        assert spectral.inertia(D) == spectral.inertia(D) == 2
+
+    @pytest.mark.parametrize("value, expect", [(-3.0, 1), (2.0, 0), (0.0, 0)])
+    def test_one_unknown(self, no_factor, value, expect):
+        assert spectral.inertia(sp.csc_matrix([[value]])) == expect
+
+    def test_explicit_zero_off_diagonals(self, no_factor):
+        d, e = np.array([-1.0, 2.0, -3.0, 4.0, 0.5]), np.array([0.0, 0.5, 0.0, 2.0])
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(5), np.arange(5))) <= 1)
+        H = sp.csc_matrix((T[rows, cols], (rows, cols)), shape=(5, 5))
+        assert H.nnz == 13  # the zeros are stored
+        expect = int((np.linalg.eigvalsh(T) < 0.0).sum())
+        assert spectral.inertia(H) == reference.bunch_kaufman_inertia(T) == expect == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_refused(self, no_factor, bad):
+        H = sp.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, bad, 1.0], [0.0, 1.0, 2.0]]))
+        # inf - inf in the symmetry check warns on every route.
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(spectral.FactorizationError, match="non-finite"):
+                spectral.inertia(H)
+
+    def test_asymmetric_band_is_refused_before_any_count(self, no_factor, monkeypatch):
+        monkeypatch.setattr(spectral.la.lapack, "dstebz", refuse)
+        H = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.5, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral.inertia(H)
+
+    def test_kept_factor_still_factors(self):
+        # A bisection probe keeps its factor: its count is the pivots'.
+        asm = fem.Assembler(fem.build_mesh(1, 200), metric.MetricModel(),
+                            problem.ProblemSpec(-30.0))
+        H = asm.h(0.8)
+        keep = [None]
+        n = spectral.inertia(H, keep)
+        assert isinstance(keep[0], spectral.Factor)
+        assert n == int((keep[0].lu.U.diagonal() < 0.0).sum()) == spectral.inertia(H)
+
+    @pytest.mark.parametrize("dim, per_point", [(1, 0), (2, 1)])
+    def test_scan_factors_only_off_the_band(self, monkeypatch, dim, per_point):
+        # A 1D scan from a held slot makes no SuperLU call; a 2D scan one
+        # per grid point; two threads give the same counts.
+        asm = TestFactorOrder.oscillator_or_disc(dim)
+        grid = np.linspace(0.05, 1.0, 12)
+        conjugate.scan(asm, grid[:1])  # holds the pattern's slot and order
+        splu = spla.splu
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "splu", counted)
+        one = conjugate.scan(asm, grid)
+        assert calls == ["NATURAL"] * (per_point * len(grid))
+        two = conjugate.scan(asm, grid, threads=2)
+        assert np.array_equal(one.n_neg, two.n_neg)
+        assert one.n_neg[-1] > one.n_neg[0]
+
+
 class TestFactorOrder:
     """``factor`` keeps the MMD order of the last sparsity pattern."""
 
@@ -182,7 +278,7 @@ class TestFactorOrder:
             H = asm.h(r)
             F, lu = spectral.factor(H), self.mmd(H)
             assert spectral._order is slot  # a hit: the order is not recomputed
-            assert np.array_equal(np.argsort(lu.perm_c), slot[2])  # H's own MMD order
+            assert np.array_equal(np.argsort(lu.perm_c), slot.order[0])  # H's own MMD order
             assert F.lu.L.nnz + F.lu.U.nnz == lu.L.nnz + lu.U.nnz
             assert np.array_equal(F.lu.perm_c, np.arange(len(b)))
             assert spectral.inertia(H) == int((lu.U.diagonal() < 0.0).sum())
@@ -295,9 +391,16 @@ class TestKernelEigenpairs:
         a = spectral.kernel_eigenpairs(H, S, 2)
         b = spectral.kernel_eigenpairs(H, S, 2)
         assert np.array_equal(a, b)
+        # Two distinct eigenvalues, returned in ascending order: those
+        # of the dense pencil nearest zero.
+        lams = rayleigh_quotients(H, S, a)
+        assert lams[0] < lams[1]
+        vals, _ = reference.smallest_eigenpairs(H, S, 6)
+        near = np.sort(vals[np.argsort(np.abs(vals), kind="stable")[:2]])
+        assert np.allclose(lams, near, rtol=1e-8)
 
     def test_raises_when_sweeps_run_out(self, monkeypatch):
-        # The convergence test compares two sweeps, so one sweep never passes it.
+        # ARPACK does not converge within one restart.
         asm = fem.Assembler(fem.build_mesh(1, 200), metric.MetricModel(),
                             problem.ProblemSpec(-30.0))
         monkeypatch.setattr(spectral, "KERNEL_MAX_SWEEPS", 1)
